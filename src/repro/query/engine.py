@@ -6,12 +6,13 @@ day partitions that can contribute rows — and executes the plan one
 partition at a time, in parallel when given a worker pool.  Each
 partition scan pushes the spec's predicates into a single boolean mask,
 groups the surviving rows through the table's memoized
-:class:`~repro.flows.groupby.GroupIndex` machinery, and produces
-*partial aggregates*: exact int64 sums per group plus one HyperLogLog
-sketch per distinct-count aggregate.  Partials merge associatively
-(integer addition, register-wise sketch union), so the full date range
-is never materialized in memory — the resident set is one partition
-plus the accumulated group dictionary.
+:class:`~repro.flows.groupby.GroupIndex` machinery, and produces a
+columnar :class:`Partial`: flat group-key columns, exact int64 sums
+per group, and one sparse HyperLogLog register set per distinct-count
+aggregate covering every group at once.  Partials merge associatively
+(concatenate, then re-reduce: exact integer addition for sums, the
+maximum rank per register for sketches), so the full date range is
+never materialized in memory — only the partials are.
 
 Partition failures are data, not crashes: a partition that raises
 :class:`~repro.flows.store.FlowStoreError` (missing file, checksum
@@ -26,7 +27,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field, replace
 from threading import Event
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +35,7 @@ import repro.obs as obs
 from repro import timebase
 from repro.flows import colstore, encodings
 from repro.flows.groupby import GroupIndex
-from repro.flows.hll import HyperLogLog
+from repro.flows.hll import GroupedRegisters, relative_error
 from repro.flows.store import FORMAT_V1, FORMAT_V3, FlowStore, FlowStoreError
 from repro.flows.table import COLUMNS, DERIVED_KEYS, FlowTable
 from repro.query.errors import QueryCancelled, QueryTimeout
@@ -45,11 +46,8 @@ from repro.query.spec import (
     QuerySpec,
 )
 
-#: Group tuple → aggregate name → exact integer value.
-Sums = Dict[Tuple[int, ...], Dict[str, int]]
-
-#: Group tuple → aggregate name → HyperLogLog sketch.
-Sketches = Dict[Tuple[int, ...], Dict[str, HyperLogLog]]
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -153,21 +151,54 @@ class PartitionFailure:
 
 
 @dataclass
+class Partial:
+    """Columnar partial aggregates of one partition, shard or query.
+
+    Group ``g`` is row ``g`` of the flat ``keys`` columns — one int64
+    column per key name of the spec (the time bucket first, then the
+    group keys) — and groups are unique and sorted by key tuple.
+    ``sums`` maps each exact aggregate to its int64 per-group totals;
+    ``registers`` maps each distinct-count aggregate to the sparse
+    HyperLogLog registers of all groups.  ``n_groups`` is explicit
+    because a query with no keys has one group and no key columns.
+    """
+
+    n_groups: int
+    keys: Tuple[np.ndarray, ...]
+    sums: Dict[str, np.ndarray]
+    registers: Dict[str, GroupedRegisters]
+
+    @classmethod
+    def empty(cls, spec: QuerySpec) -> "Partial":
+        """No groups (a partition where no row matched)."""
+        return cls(
+            n_groups=0,
+            keys=tuple(
+                np.zeros(0, dtype=np.int64) for _ in spec.key_names
+            ),
+            sums={},
+            registers={},
+        )
+
+
+@dataclass
 class QueryResult:
     """The merged outcome of one executed query.
 
-    ``rows`` is a list of dicts carrying the spec's key columns (the
-    time bucket first, then group keys) and one entry per aggregate,
-    ordered by key.  Distinct-count aggregates are HyperLogLog
-    estimates (rounded to int) with relative standard error
-    ``hll_error``; all other aggregates are exact int64 sums.
+    ``arrays`` holds one read-only ndarray per key column (the time
+    bucket first, then group keys) and per aggregate, all of length
+    :attr:`n_rows` and ordered by key; ``day`` keys are date ordinals.
+    Distinct-count aggregates are HyperLogLog estimates (rounded to
+    int) with relative standard error ``hll_error``; all other
+    aggregates are exact int64 sums.  :attr:`rows` renders the same
+    data as a list of dicts.
     """
 
     fingerprint: str
     vantage: str
     key_names: Tuple[str, ...]
     aggregates: Tuple[str, ...]
-    rows: List[Dict[str, object]]
+    arrays: Mapping[str, np.ndarray]
     partitions_planned: int
     partitions_scanned: int
     partitions_pruned: int
@@ -193,9 +224,28 @@ class QueryResult:
     def n_failed(self) -> int:
         return len(self.partitions_failed)
 
+    @property
+    def n_rows(self) -> int:
+        """Result rows (groups), without building them."""
+        return len(self.arrays[self.aggregates[0]])
+
+    @property
+    def rows(self) -> List[Dict[str, object]]:
+        """The result as dicts: key columns, then aggregates, by key.
+
+        Built from :attr:`arrays` on every access (O(rows)) and not
+        cached; values are Python ints, ``day`` keys ISO date strings.
+        """
+        names = self.key_names + self.aggregates
+        columns = [self.column(name) for name in names]
+        return [dict(zip(names, values)) for values in zip(*columns)]
+
     def column(self, name: str) -> List[object]:
         """One key or aggregate column across all rows, in row order."""
-        return [row[name] for row in self.rows]
+        values = self.arrays[name].tolist()
+        if name == "day":
+            return [_dt.date.fromordinal(v).isoformat() for v in values]
+        return values
 
     def hourly(self, aggregate: str, start: int, stop: int) -> np.ndarray:
         """A dense per-hour series for a ``bucket="hour"`` query.
@@ -206,11 +256,10 @@ class QueryResult:
             raise ValueError("hourly() needs a bucket='hour' query result")
         if len(self.key_names) != 1:
             raise ValueError("hourly() needs a query with no group keys")
+        hours = self.arrays["hour"]
+        inside = (hours >= start) & (hours < stop)
         out = np.zeros(stop - start, dtype=np.int64)
-        for row in self.rows:
-            hour = int(row["hour"])
-            if start <= hour < stop:
-                out[hour - start] = int(row[aggregate])
+        out[hours[inside] - start] = self.arrays[aggregate][inside]
         return out
 
     def to_dict(self) -> Dict[str, object]:
@@ -557,7 +606,7 @@ def _group_layout(
 
 def _scan_sidecar(
     partition: colstore.ColumnarPartition, day: _dt.date, spec: QuerySpec
-) -> Tuple[Sums, Sketches, ScanStats]:
+) -> Tuple[Partial, ScanStats]:
     """Answer one partition from sidecar pre-aggregates (no row I/O).
 
     Only reached for specs :func:`_sidecar_answerable` accepts.  The
@@ -586,37 +635,42 @@ def _scan_sidecar(
         columns=(),
         mode="sidecar",
     )
-    sums: Sums = {}
     if rows_matched == 0:
-        return sums, {}, stats
-
-    def _values(n_bytes: int, n_flows: int) -> Dict[str, int]:
-        return {
-            aggregate: n_bytes if aggregate == "bytes" else n_flows
-            for aggregate in spec.aggregates
-        }
-
+        return Partial.empty(spec), stats
     if spec.bucket == "hour":
         # A row scan only materializes groups with matching rows, so
         # emit only hours that actually saw flows.
-        for idx in np.nonzero(mask & (flow_bins > 0))[0]:
-            sums[(int(hours[idx]),)] = _values(
-                int(byte_bins[idx]), int(flow_bins[idx])
-            )
+        selected = np.flatnonzero(mask & (flow_bins > 0))
+        keys: Tuple[np.ndarray, ...] = (hours[selected],)
+        byte_sums = byte_bins[selected]
+        flow_sums = flow_bins[selected]
     else:
-        group = (day.toordinal(),) if spec.bucket == "day" else ()
-        sums[group] = _values(int(byte_bins[mask].sum()), rows_matched)
-    return sums, {}, stats
+        keys = (
+            (np.array([day.toordinal()], dtype=np.int64),)
+            if spec.bucket == "day" else ()
+        )
+        byte_sums = byte_bins[mask].sum(keepdims=True)
+        flow_sums = np.array([rows_matched])
+    sums = {
+        aggregate: np.asarray(
+            byte_sums if aggregate == "bytes" else flow_sums,
+            dtype=np.int64,
+        )
+        for aggregate in spec.aggregates
+    }
+    return Partial(len(flow_sums), keys, sums, {}), stats
 
 
 def scan_partition(
     store: FlowStore, day: _dt.date, spec: QuerySpec
-) -> Tuple[Sums, Sketches, ScanStats]:
-    """Scan one partition into partial aggregates.
+) -> Tuple[Partial, ScanStats]:
+    """Scan one partition into a columnar :class:`Partial`.
 
-    Returns ``(sums, sketches, stats)``.  Group tuples carry the bucket
-    value first (absolute hour index, or the day's ordinal for day
-    bucketing), then the group-by key values.
+    Returns ``(partial, stats)``.  Key columns carry the bucket value
+    first (absolute hour index, or the day's ordinal for day
+    bucketing), then the group-by key values.  Each distinct-count
+    aggregate takes one rank pass over its whole address column, not
+    one sketch per group.
 
     With the colstore enabled, a v2/v3 partition is answered from
     sidecar pre-aggregates when possible; otherwise the cost model
@@ -671,11 +725,8 @@ def scan_partition(
             mode=mode,
         )
 
-    sums: Sums = {}
-    sketches: Sketches = {}
     if rows_matched == 0:
-        return sums, sketches, _stats()
-    day_ordinal = day.toordinal()
+        return Partial.empty(spec), _stats()
     keys: List[str] = []
     if spec.bucket == "hour":
         keys.append("hour")
@@ -688,69 +739,125 @@ def scan_partition(
             np.zeros(rows_matched, dtype=np.int64)
         )
         decoded = []
-    exact_sums: Dict[str, np.ndarray] = {}
+    n_groups = layout.n_groups
+    key_columns = [
+        np.asarray(values, dtype=np.int64) for values in decoded
+    ]
+    if spec.bucket == "day":
+        key_columns.insert(
+            0, np.full(n_groups, day.toordinal(), dtype=np.int64)
+        )
+    sums: Dict[str, np.ndarray] = {}
+    registers: Dict[str, GroupedRegisters] = {}
     for aggregate in spec.aggregates:
         if aggregate == "flows":
-            exact_sums[aggregate] = layout.counts()
+            sums[aggregate] = layout.counts()
         elif aggregate in EXACT_AGGREGATE_COLUMNS:
-            exact_sums[aggregate] = layout.sum(
+            sums[aggregate] = layout.sum(
                 table.column(EXACT_AGGREGATE_COLUMNS[aggregate])
             )
-    sketch_columns = {
-        aggregate: table.column(
-            "src_ip" if aggregate == "distinct_src_ips" else "dst_ip"
+        else:
+            registers[aggregate] = GroupedRegisters.from_values(
+                table.column(AGGREGATE_INPUT_COLUMNS[aggregate]),
+                layout.codes, p=spec.hll_p,
+            )
+    return Partial(n_groups, tuple(key_columns), sums, registers), _stats()
+
+
+def _unique_keys(
+    columns: Sequence[np.ndarray], n: int
+) -> Tuple[Tuple[np.ndarray, ...], np.ndarray, int]:
+    """Unique key rows in tuple order, and each input row's group id.
+
+    Returns ``(unique key columns, inverse, n_groups)``; with no key
+    columns every row is the single group 0.
+    """
+    if not columns:
+        return (), np.zeros(n, dtype=np.int64), 1
+    order = np.lexsort(tuple(reversed(columns)))
+    ordered = [column[order] for column in columns]
+    new_group = np.zeros(n, dtype=bool)
+    new_group[0] = True
+    for column in ordered:
+        new_group[1:] |= column[1:] != column[:-1]
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = np.cumsum(new_group) - 1
+    keys = tuple(column[new_group] for column in ordered)
+    return keys, inverse, int(new_group.sum())
+
+
+def _sum_int64(
+    inverse: np.ndarray, values: np.ndarray, n_groups: int, name: str
+) -> np.ndarray:
+    """Exact per-group int64 sums; raises rather than wrap.
+
+    int64 addition wraps modulo 2**64, which leaves a total exact
+    whenever it fits, whatever the order or the intermediate values.
+    A float64 sum of magnitudes flags the groups that could exceed
+    int64; those are re-added in Python integers, and a total out of
+    range raises :class:`OverflowError`.
+    """
+    totals = np.zeros(n_groups, dtype=np.int64)
+    np.add.at(totals, inverse, values)
+    magnitude = np.bincount(
+        inverse, weights=np.abs(values.astype(np.float64)),
+        minlength=n_groups,
+    )
+    for group in np.flatnonzero(magnitude >= 2.0**62):
+        exact = sum(int(v) for v in values[inverse == group])
+        if not _INT64_MIN <= exact <= _INT64_MAX:
+            raise OverflowError(
+                f"{name} total {exact} of one group overflows int64"
+            )
+    return totals
+
+
+def _merge_partials(spec: QuerySpec, partials: Sequence[Partial]) -> Partial:
+    """Merge partials: concatenate, then re-reduce every group once.
+
+    Groups are re-numbered over the union of all key rows; sums add
+    exactly (:func:`_sum_int64`) and register sets keep each
+    register's maximum rank (:meth:`GroupedRegisters.merge`).  The
+    result does not depend on the order or grouping of ``partials``.
+    """
+    parts = [partial for partial in partials if partial.n_groups]
+    if not parts:
+        return Partial.empty(spec)
+    if len(parts) == 1:
+        return parts[0]
+    n = sum(part.n_groups for part in parts)
+    keys, inverse, n_groups = _unique_keys(
+        [
+            np.concatenate([part.keys[k] for part in parts])
+            for k in range(len(parts[0].keys))
+        ],
+        n,
+    )
+    sums = {
+        aggregate: _sum_int64(
+            inverse,
+            np.concatenate([part.sums[aggregate] for part in parts]),
+            n_groups, aggregate,
         )
-        for aggregate in spec.aggregates
-        if aggregate in SKETCH_AGGREGATES
+        for aggregate in parts[0].sums
     }
-    segment_ends = np.append(layout.starts[1:], layout.n_rows)
-    for g in range(layout.n_groups):
-        group: Tuple[int, ...] = tuple(
-            int(values[g]) for values in decoded
+    offsets = np.cumsum([0] + [part.n_groups for part in parts])
+    group_maps = [
+        inverse[offsets[i]:offsets[i + 1]] for i in range(len(parts))
+    ]
+    registers = {
+        aggregate: GroupedRegisters.merge(
+            [part.registers[aggregate] for part in parts], group_maps
         )
-        if spec.bucket == "day":
-            group = (day_ordinal,) + group
-        sums[group] = {
-            aggregate: int(values[g])
-            for aggregate, values in exact_sums.items()
-        }
-        if sketch_columns:
-            segment = layout.order[layout.starts[g]:segment_ends[g]]
-            group_sketches: Dict[str, HyperLogLog] = {}
-            for aggregate, column in sketch_columns.items():
-                sketch = HyperLogLog(p=spec.hll_p)
-                sketch.add_many(column[segment])
-                group_sketches[aggregate] = sketch
-            sketches[group] = group_sketches
-    return sums, sketches, _stats()
-
-
-def _merge_partial(
-    total_sums: Sums,
-    total_sketches: Sketches,
-    sums: Sums,
-    sketches: Sketches,
-) -> None:
-    """Fold one partition's partials into the accumulators (in place)."""
-    for group, values in sums.items():
-        accumulator = total_sums.setdefault(group, {})
-        for aggregate, value in values.items():
-            accumulator[aggregate] = accumulator.get(aggregate, 0) + value
-    for group, group_sketches in sketches.items():
-        accumulator_sketches = total_sketches.setdefault(group, {})
-        for aggregate, sketch in group_sketches.items():
-            existing = accumulator_sketches.get(aggregate)
-            if existing is None:
-                accumulator_sketches[aggregate] = sketch
-            else:
-                existing.union_update(sketch)
+        for aggregate in parts[0].registers
+    }
+    return Partial(n_groups, keys, sums, registers)
 
 
 def _finalize(
     spec: QuerySpec,
     plan: QueryPlan,
-    total_sums: Sums,
-    total_sketches: Sketches,
+    partials: Sequence[Partial],
     failures: List[PartitionFailure],
     scanned: int,
     rows_scanned: int,
@@ -759,34 +866,28 @@ def _finalize(
     columns_loaded: Tuple[str, ...],
     t0: float,
 ) -> QueryResult:
-    """Assemble sorted result rows from the merged accumulators."""
-    key_names = spec.key_names
-    rows: List[Dict[str, object]] = []
-    for group in sorted(set(total_sums) | set(total_sketches)):
-        row: Dict[str, object] = {}
-        for name, value in zip(key_names, group):
-            if name == "day":
-                row[name] = _dt.date.fromordinal(value).isoformat()
-            else:
-                row[name] = value
-        values = total_sums.get(group, {})
-        group_sketches = total_sketches.get(group, {})
-        for aggregate in spec.aggregates:
-            if aggregate in SKETCH_AGGREGATES:
-                sketch = group_sketches.get(aggregate)
-                row[aggregate] = (
-                    int(round(sketch.count())) if sketch is not None else 0
-                )
-            else:
-                row[aggregate] = values.get(aggregate, 0)
-        rows.append(row)
+    """Merge every partial and estimate all groups' distinct counts."""
+    merged = _merge_partials(spec, partials)
+    n_groups = merged.n_groups
+    arrays: Dict[str, np.ndarray] = dict(zip(spec.key_names, merged.keys))
+    for aggregate in spec.aggregates:
+        if aggregate in merged.registers:
+            arrays[aggregate] = np.rint(
+                merged.registers[aggregate].counts(n_groups)
+            ).astype(np.int64)
+        else:
+            arrays[aggregate] = merged.sums.get(
+                aggregate, np.zeros(n_groups, dtype=np.int64)
+            )
+    for values in arrays.values():
+        values.flags.writeable = False
     uses_sketches = any(a in SKETCH_AGGREGATES for a in spec.aggregates)
     return QueryResult(
         fingerprint=spec.fingerprint(),
         vantage=spec.vantage,
-        key_names=key_names,
+        key_names=spec.key_names,
         aggregates=spec.aggregates,
-        rows=rows,
+        arrays=arrays,
         partitions_planned=len(plan.days),
         partitions_scanned=scanned,
         partitions_pruned=plan.n_pruned,
@@ -795,17 +896,14 @@ def _finalize(
         rows_matched=rows_matched,
         bytes_read=bytes_read,
         columns_loaded=columns_loaded,
-        hll_error=(
-            HyperLogLog(p=spec.hll_p).relative_error()
-            if uses_sketches else 0.0
-        ),
+        hll_error=relative_error(spec.hll_p) if uses_sketches else 0.0,
         wall_s=time.perf_counter() - t0,
     )
 
 
 def _timed_scan(
     store: FlowStore, day: _dt.date, spec: QuerySpec
-) -> Tuple[Tuple[Sums, Sketches, ScanStats], float]:
+) -> Tuple[Tuple[Partial, ScanStats], float]:
     """One partition scan plus its wall time (for stage accounting)."""
     t0 = time.perf_counter()
     outcome = scan_partition(store, day, spec)
@@ -846,8 +944,7 @@ def execute_plan(
     spec = plan.spec
     t0 = time.perf_counter()
     registry = obs.get_registry()
-    total_sums: Sums = {}
-    total_sketches: Sketches = {}
+    partials: List[Partial] = []
     failures: List[PartitionFailure] = []
     scanned = 0
     rows_scanned = 0
@@ -867,15 +964,13 @@ def execute_plan(
             )
 
     def _absorb(day: _dt.date, outcome, error: Optional[str]) -> None:
-        nonlocal scanned, rows_scanned, rows_matched, bytes_read, merge_s
+        nonlocal scanned, rows_scanned, rows_matched, bytes_read
         if error is not None:
             failures.append(PartitionFailure(day.isoformat(), error))
             registry.counter("query.partitions-failed").inc()
             return
-        sums, sketches, stats = outcome
-        t_merge = time.perf_counter()
-        _merge_partial(total_sums, total_sketches, sums, sketches)
-        merge_s += time.perf_counter() - t_merge
+        partial, stats = outcome
+        partials.append(partial)
         scanned += 1
         rows_scanned += stats.rows_scanned
         rows_matched += stats.rows_matched
@@ -887,9 +982,7 @@ def execute_plan(
         nonlocal scanned, rows_scanned, rows_matched, bytes_read
         nonlocal merge_s, scan_s
         t_merge = time.perf_counter()
-        _merge_partial(
-            total_sums, total_sketches, outcome.sums, outcome.sketches
-        )
+        partials.append(outcome.partial())
         merge_s += time.perf_counter() - t_merge
         scanned += outcome.n_scanned
         rows_scanned += outcome.rows_scanned
@@ -1017,7 +1110,7 @@ def execute_plan(
         with obs.span("merge") as merge_span:
             t_finalize = time.perf_counter()
             result = _finalize(
-                spec, plan, total_sums, total_sketches, failures,
+                spec, plan, partials, failures,
                 scanned, rows_scanned, rows_matched, bytes_read,
                 tuple(sorted(columns_loaded)), t0,
             )
@@ -1037,7 +1130,7 @@ def execute_plan(
         span.set_metric("partitions", scanned)
         span.set_metric("failed", len(failures))
         span.set_metric("rows", rows_matched)
-        span.set_metric("groups", len(result.rows))
+        span.set_metric("groups", result.n_rows)
         span.set_metric("bytes_read", bytes_read)
         span.set_metric("plan_ms", round(plan_s * 1e3, 3))
     return result
@@ -1067,7 +1160,7 @@ def execute_query(
 
 
 def cached_copy(result: QueryResult) -> QueryResult:
-    """A cache-hit view of ``result`` (shared rows, flagged).
+    """A cache-hit view of ``result`` (shared read-only arrays, flagged).
 
     The copy gets a *fresh* ``stages`` dict — the service stamps the
     hit's own queue/total timings onto it, which must never leak into

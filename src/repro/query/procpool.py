@@ -10,9 +10,10 @@ opens the store through a per-process verified cache
 locally (fork + mmap = shared page cache, zero copy), scans every day
 in its shard with the same :func:`repro.query.engine.scan_partition`
 the serial path uses, and folds the per-day partials with the same
-associative merge.  Only the compact merged partials — exact int64
-sums and HyperLogLog registers — ever cross the process boundary;
-row data never does.
+associative merge.  Only the compact merged partial — flat group-key
+columns, exact int64 sums and sparse HyperLogLog registers, pickled
+once in the worker — ever crosses the process boundary; row data
+never does.
 
 Pool selection is fork-server aware: ``fork`` is preferred (cheapest
 start, inherits the parent's imports), then ``forkserver``; platforms
@@ -37,11 +38,14 @@ import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
 from repro.flows.store import FlowStore, FlowStoreError, open_cached
 from repro.query.spec import QuerySpec
+
+if TYPE_CHECKING:
+    from repro.query.engine import Partial
 
 #: Set to any non-empty value to disable process pools; shard execution
 #: falls back to threads (same tasks, same results, no fork).
@@ -88,16 +92,15 @@ def processes_supported() -> bool:
 
 @dataclass
 class ShardOutcome:
-    """One shard's merged partials plus diagnostics, shipped back whole.
+    """One shard's merged partial plus diagnostics, shipped back whole.
 
-    ``sums``/``sketches`` are already merged across the shard's days,
-    so the parent performs one associative fold per shard instead of
-    one per partition.  ``ipc_bytes`` is the pickled size of the data
-    payload, measured worker-side — what actually crossed the pipe.
+    ``payload`` is the shard's :class:`~repro.query.engine.Partial`,
+    already merged across its days and pickled once in the worker;
+    the parent unpickles it with :meth:`partial`.  ``ipc_bytes`` is the
+    payload's length — the partials' share of what crossed the pipe.
     """
 
-    sums: Dict[Tuple[int, ...], Dict[str, int]]
-    sketches: Dict[Tuple[int, ...], Dict[str, object]]
+    payload: bytes = b""
     n_scanned: int = 0
     rows_scanned: int = 0
     rows_matched: int = 0
@@ -107,6 +110,10 @@ class ShardOutcome:
     scan_s: float = 0.0
     worker_pid: int = 0
     ipc_bytes: int = 0
+
+    def partial(self) -> "Partial":
+        """The shard's merged partial (unpickled from ``payload``)."""
+        return pickle.loads(self.payload)
 
 
 def scan_shard(
@@ -124,33 +131,34 @@ def scan_shard(
     from repro.query import engine
 
     t0 = time.perf_counter()
-    outcome = ShardOutcome(sums={}, sketches={}, worker_pid=os.getpid())
+    outcome = ShardOutcome(worker_pid=os.getpid())
+    partials: List["Partial"] = []
     try:
         store = open_cached(root)
     except FlowStoreError as exc:
         outcome.failures = [(iso, str(exc)) for iso in day_isos]
-        outcome.scan_s = time.perf_counter() - t0
-        return outcome
+        day_isos = ()
     columns: set = set()
     for iso in day_isos:
         day = _dt.date.fromisoformat(iso)
         try:
-            sums, sketches, stats = engine.scan_partition(store, day, spec)
+            partial, stats = engine.scan_partition(store, day, spec)
         except FlowStoreError as exc:
             outcome.failures.append((iso, str(exc)))
             continue
-        engine._merge_partial(outcome.sums, outcome.sketches, sums, sketches)
+        partials.append(partial)
         outcome.n_scanned += 1
         outcome.rows_scanned += stats.rows_scanned
         outcome.rows_matched += stats.rows_matched
         outcome.bytes_read += stats.bytes_read
         columns.update(stats.columns)
     outcome.columns = tuple(sorted(columns))
-    outcome.scan_s = time.perf_counter() - t0
-    outcome.ipc_bytes = len(
-        pickle.dumps((outcome.sums, outcome.sketches),
-                     protocol=pickle.HIGHEST_PROTOCOL)
+    outcome.payload = pickle.dumps(
+        engine._merge_partials(spec, partials),
+        protocol=pickle.HIGHEST_PROTOCOL,
     )
+    outcome.ipc_bytes = len(outcome.payload)
+    outcome.scan_s = time.perf_counter() - t0
     return outcome
 
 

@@ -383,7 +383,7 @@ class QueryService:
         }
         if result is not None:
             entry["plan"] = result.plan_summary
-            entry["rows"] = len(result.rows)
+            entry["rows"] = result.n_rows
             entry["rows_scanned"] = result.rows_scanned
             entry["bytes_read"] = result.bytes_read
             entry["from_cache"] = result.from_cache

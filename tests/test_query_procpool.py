@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro import timebase
 from repro.flows.colstore import ColumnarPartition
-from repro.flows.hll import HyperLogLog
+from repro.flows.hll import GroupedRegisters
 from repro.flows.store import FlowStore, open_cached
 from repro.query import (
     QueryCancelled,
@@ -328,49 +328,69 @@ class TestShardMetrics:
 # --- merge-order property (hypothesis) --------------------------------
 
 #: Group keys drawn from a small universe so partials overlap, values
-#: past 2**53 so any float roundtrip would be caught.
+#: past 2**53 so any float roundtrip would be caught.  Sums are int64:
+#: six partials of at most 2**60 stay below 2**63.
 _group = st.tuples(st.integers(0, 3), st.integers(0, 3))
 _partial = st.dictionaries(
     _group,
     st.tuples(
-        st.integers(min_value=2**53, max_value=2**61),
+        st.integers(min_value=2**53, max_value=2**60),
         st.lists(st.integers(0, 2**32 - 1), max_size=6),
     ),
     max_size=4,
 )
 
 
+#: Two key columns, one exact and one distinct-count aggregate.
+_MERGE_SPEC = QuerySpec.build(
+    "isp-ce", START, END, group_by=["proto", "dst_port"],
+    aggregates=["bytes", "distinct_dst_ips"], hll_p=8,
+)
+
+
 def _materialize(description):
-    """Fresh (sums, sketches) dicts — the merge mutates its inputs."""
-    sums, sketches = {}, {}
-    for group, (total, values) in description.items():
-        sums[group] = {"bytes": total}
-        sketch = HyperLogLog(p=8)
-        if values:
-            sketch.add_many(np.asarray(values, dtype=np.uint64))
-        sketches[group] = {"distinct_dst_ips": sketch}
-    return sums, sketches
+    """One columnar partial from ``{group: (bytes total, addresses)}``."""
+    groups = sorted(description)
+    ids, addresses = [], []
+    for gid, group in enumerate(groups):
+        values = description[group][1] or [gid]
+        ids.extend([gid] * len(values))
+        addresses.extend(values)
+    return engine.Partial(
+        n_groups=len(groups),
+        keys=tuple(
+            np.array([group[k] for group in groups], dtype=np.int64)
+            for k in range(2)
+        ),
+        sums={"bytes": np.array(
+            [description[group][0] for group in groups], dtype=np.int64
+        )},
+        registers={"distinct_dst_ips": GroupedRegisters.from_values(
+            np.asarray(addresses, dtype=np.uint64),
+            np.asarray(ids, dtype=np.int64), p=8,
+        )} if groups else {},
+    )
 
 
 def _fold(descriptions, order):
-    total_sums, total_sketches = {}, {}
-    for index in order:
-        sums, sketches = _materialize(descriptions[index])
-        engine._merge_partial(total_sums, total_sketches, sums, sketches)
-    return total_sums, total_sketches
+    return engine._merge_partials(
+        _MERGE_SPEC, [_materialize(descriptions[i]) for i in order]
+    )
 
 
 def _assert_identical(left, right):
-    left_sums, left_sketches = left
-    right_sums, right_sketches = right
-    assert left_sums == right_sums
-    assert left_sketches.keys() == right_sketches.keys()
-    for group, named in left_sketches.items():
-        for name, sketch in named.items():
-            assert np.array_equal(
-                sketch._registers,
-                right_sketches[group][name]._registers,
-            )
+    assert left.n_groups == right.n_groups
+    for a, b in zip(left.keys, right.keys):
+        assert np.array_equal(a, b)
+    assert left.sums.keys() == right.sums.keys()
+    for name, values in left.sums.items():
+        assert values.dtype == np.int64
+        assert np.array_equal(values, right.sums[name])
+    assert left.registers.keys() == right.registers.keys()
+    for name, registers in left.registers.items():
+        assert np.array_equal(
+            registers.entries, right.registers[name].entries
+        )
 
 
 class TestMergeProperties:
@@ -400,8 +420,5 @@ class TestMergeProperties:
         baseline = _fold(descriptions, range(len(descriptions)))
         left = _fold(descriptions, range(split))
         right = _fold(descriptions, range(split, len(descriptions)))
-        combined_sums, combined_sketches = left
-        engine._merge_partial(
-            combined_sums, combined_sketches, right[0], right[1]
-        )
-        _assert_identical(baseline, (combined_sums, combined_sketches))
+        combined = engine._merge_partials(_MERGE_SPEC, [left, right])
+        _assert_identical(baseline, combined)
