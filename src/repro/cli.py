@@ -442,7 +442,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     vantage = scenario.vantage(args.vantage)
     start = _dt.date.fromisoformat(args.start)
     end = _dt.date.fromisoformat(args.end)
-    flows = vantage.generate_flows(start, end, fidelity=args.fidelity)
+    try:
+        flows = vantage.generate_flows(start, end, fidelity=args.fidelity)
+    except ValueError as exc:
+        print(f"generate: {exc}", file=sys.stderr)
+        return 2
     if args.store:
         from repro.flows.store import FlowStore
 

@@ -42,18 +42,20 @@ class ClassFilter:
 
     def mask(self, flows: FlowTable) -> np.ndarray:
         """Boolean match mask over ``flows``."""
+        # ``kind="sort"``: the default picks a lookup table spanning
+        # the value range, which for AS numbers is far slower.
         mask = np.ones(len(flows), dtype=bool)
         if self.asns:
             wanted = np.asarray(sorted(self.asns), dtype=np.int64)
-            mask &= np.isin(flows.column("src_asn"), wanted) | np.isin(
-                flows.column("dst_asn"), wanted
-            )
+            mask &= np.isin(
+                flows.column("src_asn"), wanted, kind="sort"
+            ) | np.isin(flows.column("dst_asn"), wanted, kind="sort")
         if self.ports:
             wanted_ports = np.asarray(sorted(self.ports), dtype=np.int64)
-            mask &= np.isin(flows.service_ports(), wanted_ports)
+            mask &= np.isin(flows.service_ports(), wanted_ports, kind="sort")
         if self.protos:
             wanted_protos = np.asarray(sorted(self.protos), dtype=np.int64)
-            mask &= np.isin(flows.column("proto"), wanted_protos)
+            mask &= np.isin(flows.column("proto"), wanted_protos, kind="sort")
         return mask
 
 
@@ -307,6 +309,19 @@ class ClassHeatmap:
     diffs: Dict[str, np.ndarray]
 
 
+def select_classes(
+    flows: FlowTable,
+    classes: Optional[Mapping[str, AppClass]] = None,
+) -> Dict[str, FlowTable]:
+    """Each class's sub-table of ``flows`` (default: Table 1 classes).
+
+    The Fig 9 helpers below take these selections, so one table is
+    filtered once per class however many views are derived from it.
+    """
+    classes = classes or standard_classes()
+    return {name: classes[name].select(flows) for name in sorted(classes)}
+
+
 def _kept_hour_indices() -> Tuple[int, ...]:
     h0, h1 = MORNING_HOURS_REMOVED
     return tuple(h for h in range(24) if not h0 <= h < h1)
@@ -322,26 +337,25 @@ def _week_kept_hours(
 
 
 def class_heatmaps(
-    flows: FlowTable,
+    selected: Mapping[str, FlowTable],
     weeks: Mapping[str, timebase.Week],
-    classes: Optional[Mapping[str, AppClass]] = None,
 ) -> Dict[str, ClassHeatmap]:
     """Fig 9: per-class base pattern and stage-difference heatmaps.
 
-    ``weeks`` must contain ``base`` plus any number of stage labels.
+    ``selected`` maps class name to the class's flows (see
+    :func:`select_classes`).  ``weeks`` must contain ``base`` plus any
+    number of stage labels.
     Normalization follows §5: per class, min/max over all three weeks
     jointly (after removing the early-morning hours); differences are
     percentages of that normalized scale, clipped to [-100, +200].
     """
     if "base" not in weeks:
         raise ValueError("weeks must include a 'base' entry")
-    classes = classes or standard_classes()
     kept = _kept_hour_indices()
     heatmaps: Dict[str, ClassHeatmap] = {}
-    for name in sorted(classes):
-        selected = classes[name].select(flows)
+    for name in sorted(selected):
         raw = {
-            label: _week_kept_hours(selected, week, kept)
+            label: _week_kept_hours(selected[name], week, kept)
             for label, week in weeks.items()
         }
         lo = min(float(v.min()) for v in raw.values())
@@ -363,8 +377,7 @@ def class_heatmaps(
 
 
 def weekly_class_growth(
-    flows: FlowTable,
-    app_class: AppClass,
+    selected: FlowTable,
     base_week: timebase.Week,
     stage_week: timebase.Week,
 ) -> float:
@@ -373,9 +386,9 @@ def weekly_class_growth(
     The §5 statements about overall class volume (VoD "up to 100%" at
     the European IXPs but "about 30%" at the ISP, gaming "about 10%" at
     the ISP, educational "+200%" at the ISP-CE) compare whole weeks,
-    unlike the business-hours statements.
+    unlike the business-hours statements.  ``selected`` holds the
+    class's flows.
     """
-    selected = app_class.select(flows)
     base_start, base_stop = base_week.hour_range()
     stage_start, stage_stop = stage_week.hour_range()
     base = float(selected.hourly_bytes(base_start, base_stop).sum())
@@ -386,8 +399,7 @@ def weekly_class_growth(
 
 
 def business_hours_growth(
-    flows: FlowTable,
-    app_class: AppClass,
+    selected: FlowTable,
     base_week: timebase.Week,
     stage_week: timebase.Week,
     region: timebase.Region,
@@ -399,9 +411,8 @@ def business_hours_growth(
 
     This is the quantity behind the §5 statements ("Web conferencing
     applications show a dramatic increase of more than 200% during
-    business hours").
+    business hours").  ``selected`` holds the class's flows.
     """
-    selected = app_class.select(flows)
     h0, h1 = hours
 
     def _mean_business(week: timebase.Week) -> float:

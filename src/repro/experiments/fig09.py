@@ -61,24 +61,26 @@ def run_fig09(scenario: Scenario,
     weekly: Dict[str, Dict[str, Dict[str, float]]] = {}
     for name, weeks in WEEKS.items():
         vantage = scenario.vantage(name)
-        flows = _week_flows(scenario, config, name)
-        heatmaps[name] = appclass.class_heatmaps(flows, weeks, classes)
+        selected = appclass.select_classes(
+            _week_flows(scenario, config, name), classes
+        )
+        heatmaps[name] = appclass.class_heatmaps(selected, weeks)
         business[name] = {}
         weekly[name] = {}
-        for cname, cls in classes.items():
+        for cname in classes:
             business[name][cname] = {}
             weekly[name][cname] = {}
             for stage in ("stage1", "stage2"):
                 try:
                     business[name][cname][stage] = (
                         appclass.business_hours_growth(
-                            flows, cls, weeks["base"], weeks[stage],
+                            selected[cname], weeks["base"], weeks[stage],
                             vantage.region,
                         )
                     )
                     weekly[name][cname][stage] = (
                         appclass.weekly_class_growth(
-                            flows, cls, weeks["base"], weeks[stage]
+                            selected[cname], weeks["base"], weeks[stage]
                         )
                     )
                 except ValueError:
@@ -146,16 +148,9 @@ def run_fig09(scenario: Scenario,
     result.checks["gaming only ~10% at the ISP"] = (
         -0.05 <= result.metrics["isp-ce/gaming"] <= 0.35
     )
-    # Social media: initial increase that flattens in stage 2.  Reuses
-    # the cached ISP week tables fetched above.
-    isp_weeks = timebase.APPCLASS_WEEKS_ISP
-    isp_flows = _week_flows(scenario, config, "isp-ce")
-    social_stage1 = appclass.weekly_class_growth(
-        isp_flows, classes["social"], isp_weeks["base"], isp_weeks["stage1"]
-    )
-    social_stage2 = appclass.weekly_class_growth(
-        isp_flows, classes["social"], isp_weeks["base"], isp_weeks["stage2"]
-    )
+    # Social media: initial increase that flattens in stage 2.
+    social_stage1 = weekly["isp-ce"]["social"]["stage1"]
+    social_stage2 = weekly["isp-ce"]["social"]["stage2"]
     result.metrics["isp-ce/social-stage1"] = social_stage1
     result.metrics["isp-ce/social-stage2"] = social_stage2
     result.checks["social media spike flattens"] = (

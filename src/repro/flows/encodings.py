@@ -19,7 +19,7 @@ matrix, so the packed size is ``ceil(rows * bits / 8)`` bytes.
 """
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -83,9 +83,28 @@ def unpack_bits(packed: np.ndarray, rows: int, bits: int) -> np.ndarray:
 # dictionary encoding
 
 
+def _unique(array: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(array, return_inverse=True, return_counts=True)``.
+
+    Integer arrays whose value span is no wider than their length are
+    counted with one ``bincount`` instead of sorted.
+    """
+    if (array.size and array.dtype.kind in "iu"
+            and np.can_cast(array.dtype, np.int64)):
+        lo, hi = int(array.min()), int(array.max())
+        if hi - lo < array.size:
+            offsets = array.astype(np.intp) - lo
+            slot_counts = np.bincount(offsets, minlength=hi - lo + 1)
+            present = np.flatnonzero(slot_counts)
+            slot_codes = np.cumsum(slot_counts > 0) - 1
+            values = (present + lo).astype(array.dtype)
+            return values, slot_codes[offsets], slot_counts[present]
+    return np.unique(array, return_inverse=True, return_counts=True)
+
+
 def dict_encode(array: np.ndarray) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]] | None:
     """Encode via sorted unique values + codes, or None when not worthwhile."""
-    values, codes, counts = np.unique(array, return_inverse=True, return_counts=True)
+    values, codes, counts = _unique(array)
     card = int(values.size)
     if card > DICT_MAX_CARD:
         return None
@@ -121,8 +140,16 @@ def dict_decode(parts: Dict[str, np.ndarray], meta: Dict[str, Any],
 # delta encoding
 
 
-def delta_encode(array: np.ndarray) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]] | None:
-    """Encode as base + bit-packed deltas, or None when deltas are too wide."""
+def delta_encode(
+    array: np.ndarray, max_nbytes: Optional[int] = None,
+) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]] | None:
+    """Encode as base + bit-packed deltas, or None when deltas are too wide.
+
+    ``max_nbytes`` bounds the packed deltas' size; past it the encoder
+    returns None without packing.
+    """
+    if max_nbytes is not None and max_nbytes < 0:
+        return None
     if array.size == 0:
         return (
             {"encoding": DELTA, "base": 0, "delta_min": 0, "bits": 0},
@@ -143,6 +170,8 @@ def delta_encode(array: np.ndarray) -> Tuple[Dict[str, Any], Dict[str, np.ndarra
     if dmax - dmin >= _DELTA_MAX_SPAN:
         return None
     bits = int(dmax - dmin).bit_length()
+    if max_nbytes is not None and (deltas.size * bits + 7) // 8 > max_nbytes:
+        return None
     offsets = (deltas - dmin).astype(np.int64)
     packed = pack_bits(offsets, bits)
     meta = {
@@ -234,12 +263,12 @@ def encode_column(array: np.ndarray) -> Tuple[Dict[str, Any], Dict[str, np.ndarr
             best = (meta, parts)
             access_size = size
 
-    encoded = delta_encode(array)
+    # Largest packed size with size * DELTA_WIN_FACTOR < access_size.
+    encoded = delta_encode(
+        array, max_nbytes=(access_size - 1) // DELTA_WIN_FACTOR
+    )
     if encoded is not None:
-        meta, parts = encoded
-        size = sum(p.nbytes for p in parts.values())
-        if size * DELTA_WIN_FACTOR < access_size:
-            return meta, parts
+        return encoded
 
     if best is None:
         return {"encoding": RAW}, {"raw": raw}

@@ -49,6 +49,8 @@ import zipfile
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro import timebase
 from repro.flows import colstore
 from repro.flows.colstore import (
@@ -138,9 +140,12 @@ class FlowStore:
         return self._root / day.isoformat()
 
     def _save_manifest(self) -> None:
+        # Compact separators keep json.dumps on its C encoder; an
+        # indent forces the pure-Python one on every write_day.
         temp = self._root / (_MANIFEST + ".tmp")
-        with temp.open("w") as handle:
-            json.dump(self._manifest, handle, indent=2, sort_keys=True)
+        temp.write_text(
+            json.dumps(self._manifest, sort_keys=True, separators=(",", ":"))
+        )
         os.replace(temp, self._root / _MANIFEST)
 
     def _invalidate(self, key: str) -> None:
@@ -306,21 +311,26 @@ class FlowStore:
     ) -> int:
         """Partition a multi-day table into daily partitions.
 
-        Returns the number of partitions written.  Days inside the
-        range with no flows get an empty partition, making subsequent
-        coverage checks unambiguous.
+        Returns the number of partitions written.  Each partition keeps
+        its rows in input order, rows outside the range are dropped, and
+        days inside the range with no flows get an empty partition,
+        making subsequent coverage checks unambiguous.
         """
         if end_day < start_day:
             raise ValueError("end_day precedes start_day")
-        hours = flows.column("hour")
-        written = 0
-        for day in timebase.iter_days(start_day, end_day):
-            day_start = timebase.hour_index(day, 0)
-            mask = (hours >= day_start) & (hours < day_start + 24)
-            self.write_day(day, flows.filter(mask),
+        n_days = (end_day - start_day).days + 1
+        day_of_row = (
+            flows.column("hour") - timebase.hour_index(start_day, 0)
+        ) // 24
+        # One stable sort by day, then each day is a slice of the
+        # order: rows are gathered per day, never as a sorted copy of
+        # the whole table.
+        order = np.argsort(day_of_row, kind="stable")
+        bounds = np.searchsorted(day_of_row[order], np.arange(n_days + 1))
+        for i, day in enumerate(timebase.iter_days(start_day, end_day)):
+            self.write_day(day, flows.take(order[bounds[i]:bounds[i + 1]]),
                            partition_format=partition_format)
-            written += 1
-        return written
+        return n_days
 
     def delete_day(self, day: _dt.date) -> None:
         """Remove a day's partition; missing days are a no-op."""

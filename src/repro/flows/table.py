@@ -244,6 +244,10 @@ class FlowTable:
         registry.counter("table.filter-rows-out").inc(len(result))
         return result
 
+    def take(self, indices: np.ndarray) -> "FlowTable":
+        """The rows at integer ``indices``, in that order."""
+        return FlowTable({name: col[indices] for name, col in self._cols.items()})
+
     def where(self, **conditions: object) -> "FlowTable":
         """Select rows matching equality/membership conditions per column.
 
@@ -492,8 +496,7 @@ class FlowTable:
 
     def sort_by_hour(self) -> "FlowTable":
         """Rows ordered by time bin (stable)."""
-        order = np.argsort(self._cols["hour"], kind="stable")
-        return FlowTable({name: col[order] for name, col in self._cols.items()})
+        return self.take(np.argsort(self._cols["hour"], kind="stable"))
 
     def head(self, n: int) -> "FlowTable":
         """The first ``n`` rows."""
@@ -513,4 +516,4 @@ class FlowTable:
         rng = np.random.default_rng(seed)
         idx = rng.choice(len(self), size=n, replace=False)
         idx.sort()
-        return FlowTable({name: col[idx] for name, col in self._cols.items()})
+        return self.take(idx)

@@ -650,6 +650,12 @@ class Timeline:
             for r in timebase.TIMELINES
         )
 
+    @property
+    def has_volume_events(self) -> bool:
+        """Whether any event can make :meth:`volume_modifier` differ
+        from 1.0."""
+        return self._has_volume_events
+
     def timeline_for(self, region: Region):
         """The (possibly overridden) region timeline."""
         return self._timelines[region]

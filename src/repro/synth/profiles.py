@@ -17,9 +17,12 @@ import datetime as _dt
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.flows.record import PROTO_ESP, PROTO_GRE, PROTO_TCP, PROTO_UDP
 from repro.netbase.asdb import ASCategory
 from repro.netbase import ports as portdb
+from repro.synth import diurnal
 from repro.timebase import TIMELINE_CE, LockdownTimeline
 
 #: Ordered pandemic phases (canonically defined in :mod:`repro.timebase`).
@@ -161,41 +164,123 @@ class AppProfile:
         """Copy of the profile with additional dated events."""
         return replace(self, events=self.events + tuple(events))
 
+    def multipliers(self, days: "DayContext") -> np.ndarray:
+        """Combined volume multiplier for every day of ``days``.
+
+        Phase changes ramp in linearly over :data:`RAMP_DAYS`; dated
+        events apply on top; organic growth accrues from the study
+        start.  The float operations run in the same order for every
+        day, so a one-day context gives the same value as a long one.
+        """
+        table = np.array(
+            [[self.response.multiplier(p, w) for p in PHASES]
+             for w in (False, True)],
+            dtype=np.float64,
+        )
+        weekend = days.weekend.astype(np.intp)
+        target = table[weekend, days.phase]
+        # Ramp from the previous phase's multiplier.
+        prev = table[weekend, days.prev_phase]
+        frac = (days.days_in + 1) / (RAMP_DAYS + 1)
+        target = np.where(days.ramping, prev + (target - prev) * frac, target)
+        for event in self.events:
+            active = (days.ordinals >= event.start.toordinal()) & (
+                days.ordinals <= event.end.toordinal()
+            )
+            target = np.where(active, target * event.multiplier, target)
+        growth_days = days.ordinals - _GROWTH_EPOCH.toordinal()
+        return target * (1.0 + self.annual_growth * growth_days / 365.0)
+
     def daily_multiplier(
         self,
         day: _dt.date,
         timeline: LockdownTimeline,
         weekend: bool,
     ) -> float:
-        """Combined volume multiplier for ``day``.
+        """:meth:`multipliers` for a single ``day``.
 
-        Phase changes ramp in linearly over :data:`RAMP_DAYS`; dated
-        events apply on top; organic growth accrues from the study
-        start.  ``timeline`` may be any object exposing the
-        ``ramp_context``/``phase`` surface — a plain region timeline or
-        a scenario-event override wrapper.
+        ``timeline`` may be any object exposing the ``ramp_context``
+        surface — a plain region timeline or a scenario-event override
+        wrapper.
         """
-        phase, phase_start, prev_phase = timeline.ramp_context(day)
-        target = self.response.multiplier(phase, weekend)
-        # Ramp from the previous phase's multiplier.
-        if phase_start is not None:
-            days_in = (day - phase_start).days
-            if days_in < RAMP_DAYS:
-                prev = self.response.multiplier(prev_phase, weekend)
-                frac = (days_in + 1) / (RAMP_DAYS + 1)
-                target = prev + (target - prev) * frac
-        for event in self.events:
-            if event.applies(day):
-                target *= event.multiplier
-        growth_days = (day - _dt.date(2020, 1, 1)).days
-        target *= 1.0 + self.annual_growth * growth_days / 365.0
-        return target
+        days = DayContext.build([day], timeline, [weekend])
+        return float(self.multipliers(days)[0])
 
-    def shape_name(
-        self, day: _dt.date, timeline: LockdownTimeline, weekend: bool
-    ) -> str:
-        """Diurnal shape name for ``day``."""
-        return self.response.shape_name(timeline.phase(day), weekend)
+    def day_shapes(self, days: "DayContext") -> np.ndarray:
+        """The diurnal shape of every day of ``days``, ``(n_days, 24)``."""
+        table = np.stack([
+            diurnal.get_shape(self.response.shape_name(p, w))
+            for w in (False, True)
+            for p in PHASES
+        ])
+        return table[days.weekend * len(PHASES) + days.phase]
+
+
+#: Organic growth accrues from this day.
+_GROWTH_EPOCH = _dt.date(2020, 1, 1)
+
+
+@dataclass(frozen=True, eq=False)
+class DayContext:
+    """Per-day inputs of the intensity model over a run of days.
+
+    Built once per date range and shared by every profile evaluated
+    over it, so the weekend flags, phase lookups and ramp positions are
+    worked out once per day rather than once per day and profile.
+    Every array has one entry per day of ``days``.
+    """
+
+    days: Tuple[_dt.date, ...]
+    #: Date ordinals (``date.toordinal()``).
+    ordinals: np.ndarray
+    #: Whether the day behaves like a weekend.
+    weekend: np.ndarray
+    #: Index into :data:`PHASES` of the phase in effect.
+    phase: np.ndarray
+    #: Index into :data:`PHASES` of the phase ramped from.
+    prev_phase: np.ndarray
+    #: Days since the phase started (0 on its first day).
+    days_in: np.ndarray
+    #: Whether the day lies inside a phase's ramp-in.
+    ramping: np.ndarray
+    #: Scenario work-from-home attenuation per day (``None`` outside
+    #: a scenario world).
+    attenuation: Optional[np.ndarray] = None
+
+    @classmethod
+    def build(
+        cls,
+        days: Sequence[_dt.date],
+        timeline: LockdownTimeline,
+        weekend: Sequence[bool],
+        attenuation: Optional[Sequence[float]] = None,
+    ) -> "DayContext":
+        """Evaluate ``timeline.ramp_context`` once per day of ``days``."""
+        n = len(days)
+        phase = np.empty(n, dtype=np.intp)
+        prev_phase = np.empty(n, dtype=np.intp)
+        days_in = np.zeros(n, dtype=np.int64)
+        has_start = np.zeros(n, dtype=bool)
+        for i, day in enumerate(days):
+            name, start, prev = timeline.ramp_context(day)
+            phase[i] = PHASES.index(name)
+            prev_phase[i] = PHASES.index(prev)
+            if start is not None:
+                has_start[i] = True
+                days_in[i] = (day - start).days
+        return cls(
+            days=tuple(days),
+            ordinals=np.array([d.toordinal() for d in days], dtype=np.int64),
+            weekend=np.array(weekend, dtype=bool),
+            phase=phase,
+            prev_phase=prev_phase,
+            days_in=days_in,
+            ramping=has_start & (days_in < RAMP_DAYS),
+            attenuation=(
+                None if attenuation is None
+                else np.array(attenuation, dtype=np.float64)
+            ),
+        )
 
 
 # ---------------------------------------------------------------------------

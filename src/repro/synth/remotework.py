@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -129,75 +129,76 @@ def generate_enterprise_flows(
         raise ValueError("intensity must be in [0, 1]")
     if not eyeball_asns:
         raise ValueError("eyeball AS list must be non-empty")
-    shape = diurnal.get_shape("business")
-    weekend_shape = diurnal.get_shape("flat")
+    days = week.days()
+    weekend = np.array([timebase.is_weekend(day) for day in days])
+    # Per-day level before noise, (7, 24): the diurnal shape over 24
+    # hours, damped on weekends.
+    day_level = np.where(
+        weekend[:, None],
+        diurnal.get_shape("flat") / 24.0 * 0.45,
+        diurnal.get_shape("business") / 24.0,
+    )
+    base_hours = np.array([timebase.hour_index(day, 0) for day in days])
     hosting = registry.asns_by_category(ASCategory.HOSTING)
     asns = sorted(behaviors)
-    rows: Dict[str, List[int]] = {
-        name: []
-        for name in (
-            "hour", "src_ip", "dst_ip", "src_asn", "dst_asn",
-            "proto", "src_port", "dst_port", "n_bytes", "n_packets",
-            "connections",
-        )
-    }
-    for asn in asns:
+    # Per-AS endpoints and daily volumes, (n_as, 2) with the
+    # residential peer first, plus one lognormal day-noise per day.
+    own_ips = np.empty(len(asns), dtype=np.int64)
+    peer_asns = np.empty((len(asns), 2), dtype=np.int64)
+    peer_ips = np.empty((len(asns), 2), dtype=np.int64)
+    daily = np.empty((len(asns), 2), dtype=np.float64)
+    day_noise = np.empty((len(asns), len(days)), dtype=np.float64)
+    for i, asn in enumerate(asns):
         behavior = behaviors[asn]
         rng = _rng_for(seed + 1, asn)
-        own_ip = int(
-            deterministic_addresses_in(
-                prefix_map.prefixes_of(asn), 1, salt=asn
-            )[0]
-        )
+        own_ips[i] = deterministic_addresses_in(
+            prefix_map.prefixes_of(asn), 1, salt=asn
+        )[0]
         eyeball = int(eyeball_asns[asn % len(eyeball_asns)])
-        eyeball_ip = int(
-            deterministic_addresses_in(
-                prefix_map.prefixes_of(eyeball), 1, salt=asn
-            )[0]
-        )
         peer = int(hosting[asn % len(hosting)]) if hosting else eyeball
-        peer_ip = int(
-            deterministic_addresses_in(
-                prefix_map.prefixes_of(peer), 1, salt=asn
+        peer_asns[i] = (eyeball, peer)
+        for k, other in enumerate((eyeball, peer)):
+            peer_ips[i, k] = deterministic_addresses_in(
+                prefix_map.prefixes_of(other), 1, salt=asn
             )[0]
-        )
         res_mult = behavior.lockdown_res_mult if lockdown_active else 1.0
         other_mult = behavior.lockdown_other_mult if lockdown_active else 1.0
         if lockdown_active and intensity != 1.0:
             # Partial response: interpolate the excess over pre-pandemic.
             res_mult = 1.0 + (res_mult - 1.0) * intensity
             other_mult = 1.0 + (other_mult - 1.0) * intensity
-        res_daily = behavior.base_total * behavior.residential_share * res_mult
-        other_daily = (
-            behavior.base_total * (1.0 - behavior.residential_share) * other_mult
+        daily[i, 0] = (
+            behavior.base_total * behavior.residential_share * res_mult
         )
-        for day in week.days():
-            weekend = timebase.is_weekend(day)
-            day_shape = weekend_shape if weekend else shape
-            weekend_factor = 0.45 if weekend else 1.0
-            day_noise = float(rng.lognormal(0.0, 0.08))
-            base_hour = timebase.hour_index(day, 0)
-            for hour in range(24):
-                level = day_shape[hour] / 24.0 * weekend_factor * day_noise
-                for daily, peer_asn, peer_addr in (
-                    (res_daily, eyeball, eyeball_ip),
-                    (other_daily, peer, peer_ip),
-                ):
-                    volume = daily * level
-                    n_bytes = int(round(volume * BYTES_PER_UNIT))
-                    if n_bytes <= 0:
-                        continue
-                    rows["hour"].append(base_hour + hour)
-                    rows["src_ip"].append(own_ip)
-                    rows["dst_ip"].append(peer_addr)
-                    rows["src_asn"].append(asn)
-                    rows["dst_asn"].append(peer_asn)
-                    rows["proto"].append(PROTO_TCP)
-                    rows["src_port"].append(443)
-                    rows["dst_port"].append(EPHEMERAL_START)
-                    rows["n_bytes"].append(n_bytes)
-                    rows["n_packets"].append(max(1, n_bytes // 900))
-                    rows["connections"].append(1)
+        daily[i, 1] = (
+            behavior.base_total * (1.0 - behavior.residential_share)
+            * other_mult
+        )
+        day_noise[i] = rng.lognormal(0.0, 0.08, len(days))
+    # Rows in (AS, day, hour, peer) order; np.rint rounds half to even
+    # like round().
+    level = day_level[None, :, :] * day_noise[:, :, None]
+    volume = daily[:, None, None, :] * level[:, :, :, None]
+    n_bytes = np.rint(volume * BYTES_PER_UNIT).astype(np.int64)
+    shape = n_bytes.shape
+    keep = (n_bytes > 0).reshape(-1)
+    hours = base_hours[:, None] + np.arange(24)
+
+    def column(values: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(values, shape).reshape(-1)[keep]
+
+    n_bytes = n_bytes.reshape(-1)[keep]
+    n_rows = len(n_bytes)
     return FlowTable.from_arrays(
-        **{name: np.asarray(col) for name, col in rows.items()}
+        hour=column(hours[None, :, :, None]),
+        src_ip=column(own_ips[:, None, None, None]),
+        dst_ip=column(peer_ips[:, None, None, :]),
+        src_asn=column(np.asarray(asns)[:, None, None, None]),
+        dst_asn=column(peer_asns[:, None, None, :]),
+        proto=np.full(n_rows, PROTO_TCP),
+        src_port=np.full(n_rows, 443),
+        dst_port=np.full(n_rows, EPHEMERAL_START),
+        n_bytes=n_bytes,
+        n_packets=np.maximum(1, n_bytes // 900),
+        connections=np.ones(n_rows, dtype=np.int64),
     )

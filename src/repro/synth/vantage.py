@@ -31,9 +31,8 @@ from repro.flows.table import FlowTable
 from repro.netbase.asdb import ASRegistry
 from repro.netbase.prefixes import PrefixMap
 from repro.series import HourlySeries
-from repro.synth import diurnal
 from repro.synth.flowgen import FlowSampler
-from repro.synth.profiles import AppProfile
+from repro.synth.profiles import AppProfile, DayContext
 
 
 @dataclass(frozen=True)
@@ -134,6 +133,61 @@ class VantagePoint:
             self._noise_cache[profile_name] = noise
         return noise
 
+    def _use(self, profile_name: str) -> ProfileUse:
+        use = self.mix.get(profile_name)
+        if use is None:
+            raise KeyError(
+                f"profile {profile_name!r} not in vantage {self.name}"
+            )
+        return use
+
+    def _day_context(
+        self, start_day: _dt.date, end_day: _dt.date
+    ) -> DayContext:
+        """The intensity model's per-day inputs over a date range."""
+        if end_day < start_day:
+            raise ValueError("end_day precedes start_day")
+        if start_day < timebase.STUDY_START or end_day > timebase.STUDY_END:
+            raise ValueError(
+                f"range {start_day}..{end_day} is outside the study "
+                f"period {timebase.STUDY_START}..{timebase.STUDY_END}"
+            )
+        days = list(timebase.iter_days(start_day, end_day))
+        world = self.world
+        if world is None:
+            weekend_of = timebase.behaves_like_weekend
+            attenuation = None
+        else:
+            weekend_of = world.behaves_like_weekend
+            attenuation = [world.wfh_attenuation(d, self.name) for d in days]
+        weekend = [weekend_of(d, self.region) for d in days]
+        return DayContext.build(days, self.timeline, weekend, attenuation)
+
+    def _volumes(self, profile_name: str, days: DayContext) -> np.ndarray:
+        """Hourly volumes of one profile over ``days``, noise applied."""
+        use = self._use(profile_name)
+        profile = use.profile
+        mult = profile.multipliers(days)
+        world = self.world
+        if world is not None and world.has_volume_events:
+            # Scenario events modulate the phase response.
+            mult = mult * np.array([
+                world.volume_modifier(day, self.name, profile_name)
+                for day in days.days
+            ])
+        if days.attenuation is not None:
+            # Exact identity where nothing is attenuated, so the
+            # default world stays bit-identical.
+            att = days.attenuation
+            mult = np.where(att > 0.0, 1.0 + (mult - 1.0) * (1.0 - att), mult)
+        daily = self.base_daily_volume * use.share * mult
+        values = (daily / 24.0)[:, None] * profile.day_shapes(days)
+        start_hour = timebase.hour_index(days.days[0], 0)
+        noise = self._noise_for(profile_name)[
+            start_hour : start_hour + values.size
+        ]
+        return values.reshape(-1) * noise
+
     def profile_volumes(
         self,
         profile_name: str,
@@ -142,51 +196,17 @@ class VantagePoint:
     ) -> HourlySeries:
         """Hourly volume (model units) of one profile over a date range.
 
-        ``end_day`` is inclusive.  One model unit corresponds to
-        :data:`repro.synth.flowgen.BYTES_PER_UNIT` bytes in sampled
-        flows.
+        ``end_day`` is inclusive and the range must lie inside the
+        study period (``ValueError`` otherwise).  One model unit
+        corresponds to :data:`repro.synth.flowgen.BYTES_PER_UNIT` bytes
+        in sampled flows.
         """
-        use = self.mix.get(profile_name)
-        if use is None:
-            raise KeyError(
-                f"profile {profile_name!r} not in vantage {self.name}"
-            )
-        if end_day < start_day:
-            raise ValueError("end_day precedes start_day")
-        profile = use.profile
-        world = self.world
-        n_days = (end_day - start_day).days + 1
-        values = np.empty(n_days * 24, dtype=np.float64)
-        day = start_day
-        for i in range(n_days):
-            if world is None:
-                weekend = timebase.behaves_like_weekend(day, self.region)
-            else:
-                weekend = world.behaves_like_weekend(day, self.region)
-            mult = profile.daily_multiplier(day, self.timeline, weekend)
-            if world is not None:
-                # Scenario events modulate the phase response.  Both
-                # hooks return exact identities in the default world, so
-                # the guards keep the no-event path bit-identical.
-                modifier = world.volume_modifier(
-                    day, self.name, profile_name
-                )
-                if modifier != 1.0:
-                    mult *= modifier
-                attenuation = world.wfh_attenuation(day, self.name)
-                if attenuation > 0.0:
-                    mult = 1.0 + (mult - 1.0) * (1.0 - attenuation)
-            shape = diurnal.get_shape(
-                profile.shape_name(day, self.timeline, weekend)
-            )
-            daily = self.base_daily_volume * use.share * mult
-            values[i * 24 : (i + 1) * 24] = daily / 24.0 * shape
-            day += _dt.timedelta(days=1)
-        start_hour = timebase.hour_index(start_day, 0)
-        noise = self._noise_for(profile_name)[
-            start_hour : start_hour + n_days * 24
-        ]
-        return HourlySeries(start_hour, values * noise)
+        self._use(profile_name)
+        days = self._day_context(start_day, end_day)
+        return HourlySeries(
+            timebase.hour_index(start_day, 0),
+            self._volumes(profile_name, days),
+        )
 
     def hourly_traffic(
         self,
@@ -202,12 +222,11 @@ class VantagePoint:
         if not names:
             raise ValueError("profiles selection is empty")
         obs.get_registry().counter("vantage.hourly-queries").inc()
-        total: Optional[HourlySeries] = None
-        for name in names:
-            series = self.profile_volumes(name, start_day, end_day)
-            total = series if total is None else total + series
-        assert total is not None
-        return total
+        days = self._day_context(start_day, end_day)
+        total = self._volumes(names[0], days)
+        for name in names[1:]:
+            total = total + self._volumes(name, days)
+        return HourlySeries(timebase.hour_index(start_day, 0), total)
 
     # -- flow sampling -----------------------------------------------------------
 
@@ -240,9 +259,11 @@ class VantagePoint:
         )
         sampler = self._sampler(stream)
         with obs.span(f"vantage/{self.name}/generate-flows") as span:
+            days = self._day_context(start_day, end_day)
+            start_hour = timebase.hour_index(start_day, 0)
             tables = []
             for name in names:
-                volumes = self.profile_volumes(name, start_day, end_day)
+                volumes = HourlySeries(start_hour, self._volumes(name, days))
                 tables.append(
                     sampler.sample_profile(
                         self.mix[name].profile, volumes, fidelity

@@ -76,6 +76,21 @@ class TestGenerate:
         )
         assert len(read_npz(out_path)) > 0
 
+    def test_generate_outside_study_period_is_usage_error(
+        self, tmp_path, capsys
+    ):
+        out_path = tmp_path / "trace.csv"
+        code = cli.main(
+            [
+                "generate", "--vantage", "ixp-se",
+                "--start", "2020-05-17", "--end", "2020-05-18",
+                "-o", str(out_path),
+            ]
+        )
+        assert code == 2
+        assert "study period" in capsys.readouterr().err
+        assert not out_path.exists()
+
 
 class TestQueryServe:
     @pytest.fixture(scope="class")

@@ -157,7 +157,7 @@ class TestHeatmaps:
                 for week in weeks.values()
             ]
         )
-        return appclass.class_heatmaps(flows, weeks)
+        return appclass.class_heatmaps(appclass.select_classes(flows), weeks)
 
     def test_every_class_has_heatmap(self, heatmaps):
         assert set(heatmaps) == set(appclass.standard_classes())
@@ -190,17 +190,17 @@ class TestHeatmaps:
         )
         with pytest.raises(ValueError):
             appclass.class_heatmaps(
-                flows, {"stage1": timebase.APPCLASS_WEEKS_IXP["stage1"]}
+                appclass.select_classes(flows),
+                {"stage1": timebase.APPCLASS_WEEKS_IXP["stage1"]},
             )
 
 
 class TestGrowthHelpers:
     def test_weekly_growth_requires_base_traffic(self):
         empty = FlowTable.empty()
-        cls = appclass.standard_classes()["email"]
         with pytest.raises(ValueError):
             appclass.weekly_class_growth(
-                empty, cls,
+                empty,
                 timebase.APPCLASS_WEEKS_IXP["base"],
                 timebase.APPCLASS_WEEKS_IXP["stage1"],
             )
@@ -215,7 +215,7 @@ class TestGrowthHelpers:
         )
         cls = appclass.standard_classes()["webconf"]
         growth = appclass.business_hours_growth(
-            flows, cls, weeks["base"], weeks["stage2"],
+            cls.select(flows), weeks["base"], weeks["stage2"],
             timebase.Region.CENTRAL_EUROPE,
         )
         assert growth > 1.0

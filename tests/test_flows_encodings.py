@@ -74,6 +74,43 @@ class TestDictEncoding:
             enc.dict_decode(bad, meta, np.dtype(np.int64))
 
 
+def _numpy_dict_parts(array):
+    """Dictionary parts straight from ``np.unique`` (the reference)."""
+    values, codes, counts = np.unique(
+        array, return_inverse=True, return_counts=True
+    )
+    return values, codes, counts
+
+
+# Spans below, at and above the row count, signed and unsigned, near
+# the dtype limits, and uint64 (which the bincount path never takes).
+DICT_CASES = [
+    np.array([-3, 7, -3, 0, 7, 7, 2, -1, 5, 0, 1], dtype=np.int16),
+    np.array([-32768, 32767, 0], dtype=np.int16),
+    np.arange(10, dtype=np.int64)[::-1].copy(),
+    np.array([0, 10] * 5, dtype=np.int64),
+    np.array([0, 11] * 5, dtype=np.int64),
+    np.array([2**32 - 1, 2**32 - 5, 2**32 - 1], dtype=np.uint32),
+    np.array([-2**63, -2**63 + 2, -2**63], dtype=np.int64),
+    np.array([2**64 - 1, 3, 3], dtype=np.uint64),
+    np.array([42], dtype=np.int32),
+    np.random.default_rng(5).integers(0, 700, size=1000).astype(np.int32),
+]
+
+
+class TestDictMatchesUnique:
+    @pytest.mark.parametrize("array", DICT_CASES)
+    def test_parts_and_stats_match_np_unique(self, array):
+        values, codes, counts = _numpy_dict_parts(array)
+        meta, parts = enc.dict_encode(array)
+        assert parts["values"].dtype == array.dtype
+        assert np.array_equal(parts["values"], values)
+        assert np.array_equal(parts["codes"], codes)
+        assert meta["cardinality"] == values.size
+        assert meta["values"] == [int(v) for v in values]
+        assert meta["counts"] == [int(c) for c in counts]
+
+
 class TestDeltaEncoding:
     def test_sorted_hours_pack_tight(self):
         hours = np.repeat(np.arange(24, dtype=np.int64), 40)
@@ -112,6 +149,21 @@ class TestDeltaEncoding:
     def test_span_guard_rejects_wide_ranges(self):
         wide = np.array([0, 1 << 62], dtype=np.int64)
         assert enc.delta_encode(wide) is None
+
+    def test_max_nbytes_bounds_packed_size(self):
+        hours = np.repeat(np.arange(24, dtype=np.int64), 40)
+        meta, parts = enc.delta_encode(hours)
+        size = parts["deltas"].nbytes
+        assert size == ((hours.size - 1) * meta["bits"] + 7) // 8
+        bounded = enc.delta_encode(hours, max_nbytes=size)
+        assert bounded[0] == meta
+        assert np.array_equal(bounded[1]["deltas"], parts["deltas"])
+        assert enc.delta_encode(hours, max_nbytes=size - 1) is None
+
+    def test_negative_budget_rejects_even_empty(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert enc.delta_encode(empty, max_nbytes=-1) is None
+        assert enc.delta_encode(empty, max_nbytes=0) is not None
 
 
 class TestBitmaps:
@@ -165,6 +217,37 @@ class TestSealChoice:
         # card 24 > BITMAP_MAX_CARD would not apply; 24 > 16 so the
         # outright-dict rule is off and the 1-bit delta wins on size.
         assert meta["encoding"] == enc.DELTA
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_choice_matches_packing_every_candidate(self, seed):
+        # The rule with delta always packed before its size is compared.
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(1, 3000))
+        jitter = int(rng.integers(0, 1 << int(rng.integers(0, 12))))
+        base = np.sort(rng.integers(0, 400, size=rows))
+        array = base + rng.integers(0, jitter + 1, size=rows)
+        raw_nbytes = array.nbytes
+        expected, access = None, raw_nbytes
+        meta, parts = enc.dict_encode(array)
+        size = sum(p.nbytes for p in parts.values())
+        if size < raw_nbytes:
+            if meta["cardinality"] <= enc.BITMAP_MAX_CARD:
+                expected = (meta, parts)
+            access = size
+        if expected is None:
+            delta_meta, delta_parts = enc.delta_encode(array)
+            delta_size = delta_parts["deltas"].nbytes
+            if delta_size * enc.DELTA_WIN_FACTOR < access:
+                expected = (delta_meta, delta_parts)
+            elif access < raw_nbytes:
+                expected = (meta, parts)
+            else:
+                expected = ({"encoding": enc.RAW}, {"raw": array})
+        got_meta, got_parts = enc.encode_column(array)
+        assert got_meta == expected[0]
+        assert got_parts.keys() == expected[1].keys()
+        for role, part in expected[1].items():
+            assert np.array_equal(got_parts[role], part)
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int64, np.uint32])
     def test_empty_arrays_round_trip(self, dtype):

@@ -1,6 +1,7 @@
 """Unit tests for the partitioned flow store."""
 
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from repro import timebase
 from repro.core.streaming import StreamingAggregator
 from repro.flows.store import FORMAT_V1, FlowStore, FlowStoreError
-from repro.flows.table import FlowTable
+from repro.flows.table import COLUMNS, FlowTable
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +126,30 @@ class TestManifest:
         )
         assert store.total_flows() == len(three_day_flows)
 
+    def test_manifest_is_compact_json(self, store, three_day_flows):
+        store.write_range(
+            three_day_flows, dt.date(2020, 2, 19), dt.date(2020, 2, 21)
+        )
+        text = (store.root / "manifest.json").read_text()
+        assert text == json.dumps(
+            json.loads(text), sort_keys=True, separators=(",", ":")
+        )
+
+    def test_indented_manifest_still_loads(self, tmp_path, three_day_flows):
+        # Stores written before the compact manifest used indent=2.
+        store = FlowStore(tmp_path / "store")
+        store.write_range(
+            three_day_flows, dt.date(2020, 2, 19), dt.date(2020, 2, 21)
+        )
+        path = store.root / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        reopened = FlowStore(store.root)
+        assert reopened.state_token() == store.state_token()
+        assert reopened.days() == store.days()
+        day = dt.date(2020, 2, 20)
+        assert reopened.read_day(day) == store.read_day(day)
+
 
 class TestRangeEdgeCases:
     def test_same_day_start_and_stop(self, store, three_day_flows):
@@ -176,6 +201,62 @@ class TestRangeEdgeCases:
         assert store.day_flows(day) == len(store.read_day(day))
         with pytest.raises(KeyError):
             store.day_flows(dt.date(2020, 1, 1))
+
+
+def _canonical(table: FlowTable) -> FlowTable:
+    """The table's rows sorted by every column (order-free comparison)."""
+    return table.take(
+        np.lexsort([table.column(name) for name in reversed(COLUMNS)])
+    )
+
+
+class TestWriteRangeSplit:
+    DAYS = (dt.date(2020, 2, 19), dt.date(2020, 2, 21))
+
+    @pytest.fixture(scope="class")
+    def shuffled(self, three_day_flows):
+        order = np.random.default_rng(7).permutation(len(three_day_flows))
+        return three_day_flows.take(order)
+
+    def test_shuffled_table_gives_same_partitions(
+        self, tmp_path, three_day_flows, shuffled
+    ):
+        ordered = FlowStore(tmp_path / "ordered")
+        ordered.write_range(three_day_flows.sort_by_hour(), *self.DAYS)
+        mixed = FlowStore(tmp_path / "mixed")
+        mixed.write_range(shuffled, *self.DAYS)
+        assert mixed.days() == ordered.days()
+        for day in ordered.days():
+            assert mixed.day_flows(day) == ordered.day_flows(day)
+            assert _canonical(mixed.read_day(day)) == _canonical(
+                ordered.read_day(day)
+            )
+
+    def test_partitions_keep_input_row_order(self, store, shuffled):
+        store.write_range(shuffled, *self.DAYS)
+        hours = shuffled.column("hour")
+        for day in store.days():
+            start = timebase.hour_index(day, 0)
+            mask = (hours >= start) & (hours < start + 24)
+            assert store.read_day(day) == shuffled.filter(mask)
+
+    def test_rows_outside_range_dropped(self, store, shuffled):
+        day = dt.date(2020, 2, 20)
+        assert store.write_range(shuffled, day, day) == 1
+        start = timebase.hour_index(day, 0)
+        assert store.days() == [day]
+        assert _canonical(store.read_day(day)) == _canonical(
+            shuffled.between_hours(start, start + 24)
+        )
+
+    def test_empty_days_get_empty_partitions(self, store, shuffled):
+        first, last = dt.date(2020, 2, 17), dt.date(2020, 2, 23)
+        assert store.write_range(shuffled, first, last) == 7
+        assert store.days() == list(timebase.iter_days(first, last))
+        for day in (first, dt.date(2020, 2, 18), dt.date(2020, 2, 22), last):
+            assert store.day_flows(day) == 0
+            assert len(store.read_day(day)) == 0
+        assert store.total_flows() == len(shuffled)
 
 
 class TestIntegrity:

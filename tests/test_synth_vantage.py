@@ -5,8 +5,12 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from repro import timebase
+from repro import build_scenario, timebase
+from repro.synth import diurnal
 from repro.synth.flowgen import BYTES_PER_UNIT
+from repro.synth.profiles import RAMP_DAYS
+from repro.synth.vantage import VantagePoint
+from tests.synth_seal_fixture import event_spec
 
 
 class TestIntensityModel:
@@ -85,6 +89,124 @@ class TestIntensityModel:
             dt.date(2020, 3, 18), dt.date(2020, 3, 24)
         ).total()
         assert 1.10 < lockdown / base < 1.45
+
+
+class TestStudyPeriodBounds:
+    # Each range crosses one edge of the study period.
+    OUTSIDE = [
+        (dt.date(2019, 12, 25), dt.date(2020, 1, 3)),
+        (dt.date(2020, 5, 10), dt.date(2020, 5, 20)),
+    ]
+
+    @pytest.mark.parametrize("start,end", OUTSIDE)
+    def test_range_outside_study_period_raises(self, scenario, start, end):
+        vantage = scenario.isp_ce
+        with pytest.raises(ValueError, match="study period"):
+            vantage.profile_volumes("quic", start, end)
+        with pytest.raises(ValueError, match="study period"):
+            vantage.hourly_traffic(start, end)
+        with pytest.raises(ValueError, match="study period"):
+            vantage.generate_flows(start, end, fidelity=0.1)
+
+    @pytest.mark.parametrize(
+        "day", [timebase.STUDY_START, timebase.STUDY_END]
+    )
+    def test_edge_days_accepted(self, scenario, day):
+        series = scenario.isp_ce.hourly_traffic(day, day)
+        assert series.start_hour == timebase.hour_index(day, 0)
+        assert len(series) == 24
+
+
+def _naive_multiplier(profile, day, timeline, weekend):
+    """The intensity model's per-day multiplier, one day at a time."""
+    phase, phase_start, prev_phase = timeline.ramp_context(day)
+    target = profile.response.multiplier(phase, weekend)
+    if phase_start is not None:
+        days_in = (day - phase_start).days
+        if days_in < RAMP_DAYS:
+            prev = profile.response.multiplier(prev_phase, weekend)
+            frac = (days_in + 1) / (RAMP_DAYS + 1)
+            target = prev + (target - prev) * frac
+    for event in profile.events:
+        if event.applies(day):
+            target *= event.multiplier
+    growth_days = (day - dt.date(2020, 1, 1)).days
+    target *= 1.0 + profile.annual_growth * growth_days / 365.0
+    return target
+
+
+def _naive_profile_volumes(vantage, name, start_day, end_day):
+    """Reference for ``profile_volumes``: a plain loop over days."""
+    use = vantage.mix[name]
+    world = vantage.world
+    days = list(timebase.iter_days(start_day, end_day))
+    values = np.empty(len(days) * 24)
+    for i, day in enumerate(days):
+        weekend = world.behaves_like_weekend(day, vantage.region)
+        mult = _naive_multiplier(use.profile, day, vantage.timeline, weekend)
+        modifier = world.volume_modifier(day, vantage.name, name)
+        if modifier != 1.0:
+            mult *= modifier
+        attenuation = world.wfh_attenuation(day, vantage.name)
+        if attenuation > 0.0:
+            mult = 1.0 + (mult - 1.0) * (1.0 - attenuation)
+        shape = diurnal.get_shape(use.profile.response.shape_name(
+            vantage.timeline.phase(day), weekend
+        ))
+        daily = vantage.base_daily_volume * use.share * mult
+        values[i * 24 : (i + 1) * 24] = daily / 24.0 * shape
+    start_hour = timebase.hour_index(start_day, 0)
+    noise = vantage._noise_for(name)[start_hour : start_hour + len(values)]
+    return values * noise
+
+
+class TestArrayPathMatchesDayLoop:
+    """The array-at-once intensity model is bit-identical to the loop."""
+
+    @pytest.fixture(scope="class")
+    def event_scenario(self):
+        return build_scenario(spec=event_spec())
+
+    def _check(self, scenario):
+        start, end = timebase.STUDY_START, timebase.STUDY_END
+        for vantage in scenario.vantages.values():
+            for name in vantage.profile_names():
+                series = vantage.profile_volumes(name, start, end)
+                expected = _naive_profile_volumes(vantage, name, start, end)
+                assert np.array_equal(series.values, expected), (
+                    vantage.name, name
+                )
+
+    def test_default_world(self, scenario):
+        self._check(scenario)
+
+    def test_event_world(self, event_scenario):
+        self._check(event_scenario)
+
+    def test_vantage_without_world_matches_default_world(self, scenario):
+        vantage = scenario.isp_ce
+        bare = VantagePoint(
+            vantage.name, vantage.kind, vantage.region, vantage.mix,
+            vantage.base_daily_volume, scenario.registry,
+            scenario.prefix_map, [3320], vantage.seed,
+        )
+        start, end = timebase.STUDY_START, timebase.STUDY_END
+        assert np.array_equal(
+            bare.hourly_traffic(start, end).values,
+            vantage.hourly_traffic(start, end).values,
+        )
+
+    def test_daily_multiplier_matches_loop(self, event_scenario):
+        vantage = event_scenario.isp_ce
+        for name in vantage.profile_names():
+            profile = vantage.mix[name].profile
+            for day in timebase.iter_days():
+                for weekend in (False, True):
+                    assert profile.daily_multiplier(
+                        day, vantage.timeline, weekend
+                    ) == _naive_multiplier(
+                        profile, day, vantage.timeline, weekend
+                    )
 
 
 class TestFlowGeneration:
