@@ -34,8 +34,9 @@ on-disk totals from ``FlowStore.column_stats`` land in the recorded
 A final **scaling sweep** replays one scan-heavy multi-vantage batch
 (the mixed shapes over the v2 ``isp-ce`` store plus a second,
 lower-fidelity ``edu`` store) directly through the engine three ways:
-``scale-serial`` (no pool), ``scale-threads`` (the per-partition
-thread pool, GIL-bound), and ``scale-procs`` (the process-backed
+``scale-serial`` (no pool), ``scale-threads`` (a thread-backed
+:class:`~repro.query.procpool.ScanPool`, GIL-bound), and
+``scale-procs`` (the process-backed
 scatter-gather :class:`~repro.query.procpool.ScanPool`, one worker
 per core).  All three must return bit-identical rows; the recorded
 ``scaling`` block carries the core count, the pool kind that actually
@@ -72,7 +73,6 @@ import platform
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -93,6 +93,7 @@ from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.query import (  # noqa: E402
     QueryService,
     QuerySpec,
+    ScanPool,
     execute_query,
     make_scan_pool,
 )
@@ -466,7 +467,7 @@ def main(argv=None) -> int:
         # before the steady-state measurement.
         _mode_sweep(None)
         scale_serial, walls[f"{KEY}[scale-serial]"] = _mode_sweep(None)
-        with ThreadPoolExecutor(max_workers=cores) as thread_pool:
+        with ScanPool(cores, kind="thread") as thread_pool:
             _mode_sweep(thread_pool)
             scale_threads, walls[f"{KEY}[scale-threads]"] = _mode_sweep(
                 thread_pool

@@ -1155,7 +1155,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scatter each query's partition scans across N worker "
              "processes shared by all service workers (falls back to "
              "threads where fork is unavailable; default: %(default)s, "
-             "per-worker thread scans)",
+             "each worker scans its own queries inline)",
     )
     serve_parser.add_argument(
         "--queue", type=int, default=64, metavar="N",

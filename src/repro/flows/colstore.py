@@ -71,7 +71,7 @@ import os
 import shutil
 import threading
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -220,20 +220,17 @@ def _verify_file(path: Path, expected: str, what: str) -> None:
 
 
 def _verify_slice(
-    path: Path, data: np.ndarray, expected: str, what: str, label: str
+    identity: tuple, data: np.ndarray, expected: str, what: str, label: str
 ) -> None:
     """Check one part's bytes inside a shared data file.
 
-    Same memoization contract as :func:`_verify_file`, but the cache
-    key carries the part ``label`` so each part of ``segments.bin`` is
-    verified (and cached) independently; rewriting the file bumps the
-    mtime and invalidates every part at once.
+    Same memoization contract as :func:`_verify_file`, but keyed by the
+    data file's ``(path, mtime_ns, size)`` ``identity`` — statted once
+    per load by the caller — plus the part ``label``, so each part of
+    ``segments.bin`` is verified (and cached) independently; rewriting
+    the file bumps the mtime and invalidates every part at once.
     """
-    try:
-        stat = path.stat()
-    except OSError as exc:
-        raise FlowStoreError(f"{what} is missing: {path}") from exc
-    key = (str(path), stat.st_mtime_ns, stat.st_size, label)
+    key = (*identity, label)
     with _VERIFIED_LOCK:
         cached = _VERIFIED.get(key)
     if cached is not None:
@@ -309,13 +306,14 @@ def _seal_dir(temp: Path, final_dir: Path) -> None:
 
 
 def _write_sidecar(sidecar: dict, temp: Path) -> str:
+    """Write the sidecar and return the sha256 of the bytes written."""
     # Compact separators keep json.dumps on its C encoder (an indent
     # forces the pure-Python one) and the file a third of the size.
-    path = temp / SIDECAR
-    path.write_text(
-        json.dumps(sidecar, sort_keys=True, separators=(",", ":"))
-    )
-    return file_sha256(path)
+    payload = json.dumps(
+        sidecar, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    (temp / SIDECAR).write_bytes(payload)
+    return hashlib.sha256(payload).hexdigest()
 
 
 def write_partition(
@@ -637,6 +635,19 @@ def _rebuild_bundle(
     return bundle
 
 
+class _DataFile(NamedTuple):
+    """One load's view of a v3 data file.
+
+    ``identity`` is ``(path, mtime_ns, size)`` from a single stat at the
+    start of the load; it keys the verified-cache for every part the
+    load reads.  It lives here, not on the shared partition handle,
+    because two workers may scan one partition at once.
+    """
+
+    u8: np.ndarray
+    identity: tuple
+
+
 class ColumnarPartition:
     """One v2/v3 partition directory opened for reading.
 
@@ -645,11 +656,14 @@ class ColumnarPartition:
     data-file mmap is opened lazily per handle and never pickled.
     """
 
-    __slots__ = ("day", "_dir", "_sidecar", "_data", "strategy_cache")
+    __slots__ = (
+        "day", "_dir", "_data_path", "_sidecar", "_data", "strategy_cache",
+    )
 
     def __init__(self, day: str, partition_dir: Path, sidecar: dict):
         self.day = day
         self._dir = Path(partition_dir)
+        self._data_path = self._dir / str(sidecar.get("data_file", DATA_FILE))
         self._sidecar = sidecar
         self._data: Optional[np.ndarray] = None
         #: scratch for the query planner: memoized bitmap-vs-scan
@@ -758,7 +772,7 @@ class ColumnarPartition:
         arrays: Dict[str, np.ndarray] = {}
         bytes_read = 0
         if self.format == FORMAT_V3:
-            data = self._data_u8()
+            data = self._data_file()
             for name in columns:
                 array, nbytes = self._decode_column(name, data, mmap)
                 arrays[name] = array
@@ -793,40 +807,48 @@ class ColumnarPartition:
 
     # -- v3 internals --------------------------------------------------------
 
-    def _data_u8(self) -> np.ndarray:
-        """The partition's ``segments.bin`` as a flat uint8 mmap, cached."""
-        if self._data is not None:
-            return self._data
-        path = self._dir / str(self._sidecar.get("data_file", DATA_FILE))
+    def _data_file(self) -> _DataFile:
+        """``segments.bin`` for one load: its bytes and stat identity.
+
+        The file is mapped once per handle and kept as a plain
+        ``ndarray`` view of the mmap: slicing it skips the ``np.memmap``
+        subclass overhead, and the view's base keeps the mapping alive.
+        The stat runs on every load, so a rewritten file is re-verified.
+        """
+        path = self._data_path
         try:
-            if path.stat().st_size == 0:
-                # An empty partition has no parts; mmap rejects 0 bytes.
-                data = np.zeros(0, dtype=np.uint8)
-            else:
-                data = np.memmap(path, dtype=np.uint8, mode="r")
+            stat = path.stat()
+            data = self._data
+            if data is None:
+                if stat.st_size == 0:
+                    # An empty partition has no parts; mmap rejects 0 bytes.
+                    data = np.zeros(0, dtype=np.uint8)
+                else:
+                    data = np.memmap(path, dtype=np.uint8, mode="r").view(
+                        np.ndarray
+                    )
+                self._data = data
         except (OSError, ValueError) as exc:
             raise FlowStoreError(
                 f"data file for partition {self.day} cannot be read: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
-        self._data = data
-        return data
+        return _DataFile(data, (str(path), stat.st_mtime_ns, stat.st_size))
 
     def _part(
-        self, part_meta: dict, data: np.ndarray, what: str, label: str
+        self, part_meta: dict, data: _DataFile, what: str, label: str
     ) -> np.ndarray:
         """One verified encoded part as a typed view into the data file."""
         offset = int(part_meta["offset"])
         nbytes = int(part_meta["nbytes"])
-        if offset + nbytes > data.size:
+        if offset + nbytes > data.u8.size:
             raise FlowStoreError(
                 f"{what} is corrupt: part {label!r} extends past the "
                 f"end of the data file"
             )
-        segment = data[offset:offset + nbytes]
+        segment = data.u8[offset:offset + nbytes]
         _verify_slice(
-            self._dir / str(self._sidecar.get("data_file", DATA_FILE)),
-            segment, str(part_meta["sha256"]), what, label,
+            data.identity, segment, str(part_meta["sha256"]), what, label
         )
         dtype = np.dtype(str(part_meta["dtype"]))
         if nbytes % dtype.itemsize:
@@ -843,7 +865,7 @@ class ColumnarPartition:
         return array
 
     def _column_parts(
-        self, name: str, roles: Sequence[str], data: np.ndarray
+        self, name: str, roles: Sequence[str], data: _DataFile
     ) -> Tuple[Dict[str, np.ndarray], int]:
         """Load + verify the named parts of one column; count their bytes."""
         meta = self._sidecar["columns"][name]
@@ -863,7 +885,7 @@ class ColumnarPartition:
         return out, nbytes
 
     def _decode_column(
-        self, name: str, data: np.ndarray, mmap: bool
+        self, name: str, data: _DataFile, mmap: bool
     ) -> Tuple[np.ndarray, int]:
         """Decode one v3 column to its logical array.
 
@@ -908,7 +930,7 @@ class ColumnarPartition:
         return array, nbytes
 
     def _dict_values(
-        self, name: str, data: np.ndarray
+        self, name: str, data: _DataFile
     ) -> Tuple[np.ndarray, int]:
         """A dict column's sorted value table (sidecar copy when small)."""
         meta = self._sidecar["columns"][name]
@@ -941,7 +963,7 @@ class ColumnarPartition:
                 f"partition {self.day} is not a v3 partition"
             )
         rows = self.rows
-        data = self._data_u8()
+        data = self._data_file()
         bytes_read = 0
         decoded: Dict[str, np.ndarray] = {}
         decoded_codes: Dict[str, np.ndarray] = {}

@@ -50,18 +50,55 @@ import repro.obs as obs
 DISABLE_ENV = "REPRO_NO_GROUP_INDEX"
 
 
+#: Below this many rows a comparison sort beats the radix passes' setup.
+_RADIX_MIN_ROWS = 1024
+
+
 def engine_enabled() -> bool:
     """Whether the memoized group-index engine is active."""
     return not os.environ.get(DISABLE_ENV)
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """The permutation ``np.argsort(keys, kind="stable")`` returns.
+
+    Integer keys whose span (max − min) fits 32 bits are ordered by a
+    least-significant-digit radix sort of their uint16 offsets from the
+    minimum: numpy sorts 16-bit keys stably with a linear-time radix
+    sort instead of timsort.  A span below 2**16 takes one pass; below
+    2**32 two (the low half, then the high half gathered through the
+    first order).  Offsets are formed in the narrow type itself — the
+    casts wrap modulo 2**16 / 2**32, and so does the subtraction, which
+    makes ``key - min`` exact without an int64/uint64 intermediate.
+    Other keys, huge spans and short arrays take the comparison sort.
+    """
+    if keys.dtype.kind not in "iu" or keys.shape[0] < _RADIX_MIN_ROWS:
+        return np.argsort(keys, kind="stable")
+    low = int(keys.min())
+    span = int(keys.max()) - low
+    if span < 1 << 16:
+        offsets = keys.astype(np.uint16)
+        offsets -= np.uint16(low & 0xFFFF)
+        return np.argsort(offsets, kind="stable")
+    if span >= 1 << 32:
+        return np.argsort(keys, kind="stable")
+    offsets = keys.astype(np.uint32)
+    offsets -= np.uint32(low & 0xFFFFFFFF)
+    order = np.argsort(offsets.astype(np.uint16), kind="stable")
+    offsets >>= 16
+    high = offsets.astype(np.uint16)[order]
+    return order[np.argsort(high, kind="stable")]
 
 
 @dataclass(frozen=True)
 class GroupIndex:
     """A reusable factorization of one key array.
 
-    Built with :meth:`from_values` in a single stable argsort (rather
-    than ``np.unique`` followed by a second sort of the inverse), and
-    safe to share across threads: all four arrays are read-only.
+    Built with :meth:`from_values` from one stable ordering of the keys
+    (:func:`stable_order`: a radix sort for integer keys of moderate
+    span, else a stable argsort) rather than ``np.unique`` followed by
+    a second sort of the inverse, and safe to share across threads: all
+    four arrays are read-only.
     """
 
     values: np.ndarray  #: sorted unique key values, shape (n_groups,)
@@ -81,7 +118,7 @@ class GroupIndex:
                 order=np.empty(0, dtype=np.intp),
                 starts=np.empty(0, dtype=np.intp),
             )
-        order = np.argsort(keys, kind="stable")
+        order = stable_order(keys)
         sorted_keys = keys[order]
         new_group = np.empty(n, dtype=bool)
         new_group[0] = True

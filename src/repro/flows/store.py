@@ -99,6 +99,10 @@ class FlowStore:
         self._root.mkdir(parents=True, exist_ok=True)
         self._default_format = default_format
         self._manifest: Dict[str, Dict[str, object]] = {}
+        #: Bumped after every manifest change; the memoized state token
+        #: is valid only for the version it was computed at.
+        self._version = 0
+        self._token: Optional[Tuple[int, str]] = None
         self._partitions: Dict[tuple, colstore.ColumnarPartition] = {}
         manifest_path = self._root / _MANIFEST
         if manifest_path.exists():
@@ -129,9 +133,19 @@ class FlowStore:
         re-write, or migration changes it.  The query service keys its
         result cache on ``(query fingerprint, state token)`` — a
         mutated store can never serve stale cached results.
+
+        Memoized per manifest version.  A token computed while a write
+        lands is stored under the version read *before* the hash, which
+        the write then bumps, so it is never served afterwards.
         """
+        version = self._version
+        cached = self._token
+        if cached is not None and cached[0] == version:
+            return cached[1]
         payload = json.dumps(self._manifest, sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        token = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        self._token = (version, token)
+        return token
 
     def _partition_path(self, day: _dt.date) -> Path:
         return self._root / f"{day.isoformat()}.npz"
@@ -140,6 +154,8 @@ class FlowStore:
         return self._root / day.isoformat()
 
     def _save_manifest(self) -> None:
+        # Every manifest change ends here: retire the memoized token.
+        self._version += 1
         # Compact separators keep json.dumps on its C encoder; an
         # indent forces the pure-Python one on every write_day.
         temp = self._root / (_MANIFEST + ".tmp")

@@ -3,7 +3,8 @@
 The engine turns one :class:`~repro.query.spec.QuerySpec` into a
 :class:`QueryPlan` — the minimal set of :class:`~repro.flows.store.FlowStore`
 day partitions that can contribute rows — and executes the plan one
-partition at a time, in parallel when given a worker pool.  Each
+partition at a time, inline or sharded across a
+:class:`~repro.query.procpool.ScanPool`.  Each
 partition scan pushes the spec's predicates into a single boolean mask,
 groups the surviving rows through the table's memoized
 :class:`~repro.flows.groupby.GroupIndex` machinery, and produces a
@@ -39,6 +40,7 @@ from repro.flows.hll import GroupedRegisters, relative_error
 from repro.flows.store import FORMAT_V1, FORMAT_V3, FlowStore, FlowStoreError
 from repro.flows.table import COLUMNS, DERIVED_KEYS, FlowTable
 from repro.query.errors import QueryCancelled, QueryTimeout
+from repro.query.procpool import ScanPool, shard_days
 from repro.query.spec import (
     AGGREGATE_INPUT_COLUMNS,
     EXACT_AGGREGATE_COLUMNS,
@@ -585,9 +587,11 @@ def _group_layout(
 
     Mixed-radix composition of the per-key code arrays (never tuple
     keys); the returned list holds, per key, the actual key value of
-    each combined group.
+    each combined group.  A single key's own index is the layout.
     """
     indexes = [table.group_index(key) for key in keys]
+    if len(indexes) == 1:
+        return indexes[0], [indexes[0].values]
     combined = indexes[0].codes
     radices: List[int] = []
     for index in indexes[1:]:
@@ -901,37 +905,27 @@ def _finalize(
     )
 
 
-def _timed_scan(
-    store: FlowStore, day: _dt.date, spec: QuerySpec
-) -> Tuple[Tuple[Partial, ScanStats], float]:
-    """One partition scan plus its wall time (for stage accounting)."""
-    t0 = time.perf_counter()
-    outcome = scan_partition(store, day, spec)
-    return outcome, time.perf_counter() - t0
-
-
 def execute_plan(
     store: FlowStore,
     plan: QueryPlan,
-    pool: Optional[object] = None,
+    pool: Optional[ScanPool] = None,
     deadline: Optional[float] = None,
     cancel: Optional[Event] = None,
     plan_s: float = 0.0,
 ) -> QueryResult:
     """Run a plan, merging per-partition partials as they complete.
 
-    ``pool`` scans partitions concurrently.  A plain executor runs one
-    partition per task (each worker handles whole partitions, so
-    partials stay thread-local until the single-threaded merge); a
-    :class:`repro.query.procpool.ScanPool` — anything exposing
-    ``submit_shard`` — takes the scatter-gather path instead: the
-    plan's days are split into contiguous shards, each shard is
-    scanned and pre-merged inside a worker (a separate process when
-    the platform allows), and only the compact merged partials cross
-    back for the final fold.  ``deadline`` is a ``time.monotonic()``
-    timestamp enforced between partitions — on expiry pending scans
-    are cancelled and :class:`QueryTimeout` is raised.  ``cancel``
-    aborts the same way with :class:`QueryCancelled`.
+    With ``pool=None`` the calling thread scans the partitions one by
+    one.  A :class:`repro.query.procpool.ScanPool` takes the
+    scatter-gather path instead: the plan's days are split into
+    contiguous shards, each shard is scanned and pre-merged inside a
+    worker (a separate process when the platform allows), and only
+    the compact merged partials cross back for the final fold.  Any
+    other ``pool`` raises :class:`TypeError`.  ``deadline`` is a
+    ``time.monotonic()`` timestamp enforced between partitions (inline)
+    or shards (pooled) — on expiry pending scans are cancelled and
+    :class:`QueryTimeout` is raised.  ``cancel`` aborts the same way
+    with :class:`QueryCancelled`.
 
     ``plan_s`` is the planning wall time measured by the caller (zero
     when the plan was built out of band); it flows into the result's
@@ -941,6 +935,10 @@ def execute_plan(
     carries ``scan``/``merge`` child spans, so a traced run shows one
     tree per query.
     """
+    if pool is not None and not isinstance(pool, ScanPool):
+        raise TypeError(
+            f"pool must be None or a ScanPool, not {type(pool).__name__}"
+        )
     spec = plan.spec
     t0 = time.perf_counter()
     registry = obs.get_registry()
@@ -1001,9 +999,7 @@ def execute_plan(
 
     def _run_sharded() -> None:
         """Scatter contiguous day shards across the pool's workers."""
-        from repro.query import procpool
-
-        shards = procpool.shard_days(plan.days, getattr(pool, "width", 1))
+        shards = shard_days(plan.days, pool.width)
         futures = {
             pool.submit_shard(store, shard, spec): shard
             for shard in shards
@@ -1052,54 +1048,16 @@ def execute_plan(
             if pool is None or len(plan.days) <= 1:
                 for day in plan.days:
                     _check_interrupts()
+                    t_scan = time.perf_counter()
                     try:
-                        outcome, scan_dt = _timed_scan(store, day, spec)
+                        outcome = scan_partition(store, day, spec)
                     except FlowStoreError as exc:
                         _absorb(day, None, str(exc))
                     else:
-                        scan_s += scan_dt
+                        scan_s += time.perf_counter() - t_scan
                         _absorb(day, outcome, None)
-            elif hasattr(pool, "submit_shard"):
-                _run_sharded()
             else:
-                futures = {
-                    pool.submit(_timed_scan, store, day, spec): day
-                    for day in plan.days
-                }
-                pending = set(futures)
-                try:
-                    while pending:
-                        remaining = None
-                        if deadline is not None:
-                            remaining = max(
-                                0.0, deadline - time.monotonic()
-                            )
-                        done, pending = wait(
-                            pending, timeout=remaining,
-                            return_when=FIRST_COMPLETED,
-                        )
-                        if not done:
-                            raise QueryTimeout(
-                                f"query {spec.describe()} exceeded its "
-                                f"deadline after {scanned}/"
-                                f"{len(plan.days)} partitions"
-                            )
-                        for future in done:
-                            day = futures[future]
-                            try:
-                                outcome, scan_dt = future.result()
-                            except FlowStoreError as exc:
-                                _absorb(day, None, str(exc))
-                            else:
-                                scan_s += scan_dt
-                                _absorb(day, outcome, None)
-                        if cancel is not None and cancel.is_set():
-                            raise QueryCancelled(
-                                f"query {spec.describe()} cancelled"
-                            )
-                finally:
-                    for future in pending:
-                        future.cancel()
+                _run_sharded()
             scan_span.set_metric("partitions", scanned)
             scan_span.set_metric("scan_ms", round(scan_s * 1e3, 3))
         registry.counter("query.rows-scanned").inc(rows_scanned)
@@ -1139,16 +1097,16 @@ def execute_plan(
 def execute_query(
     store: FlowStore,
     spec: QuerySpec,
-    pool: Optional[object] = None,
+    pool: Optional[ScanPool] = None,
     deadline: Optional[float] = None,
     cancel: Optional[Event] = None,
 ) -> QueryResult:
     """Plan and execute ``spec`` against ``store`` in one call.
 
-    ``pool`` may be a plain executor (per-partition thread scans) or a
+    ``pool`` is ``None`` (scan inline on the calling thread) or a
     :class:`repro.query.procpool.ScanPool` (sharded scatter-gather,
-    process-backed when available); ``None`` scans serially.  All
-    three produce bit-identical results.
+    process-backed when available); anything else raises
+    :class:`TypeError`.  Both produce bit-identical results.
     """
     t0 = time.perf_counter()
     plan = plan_query(store, spec)

@@ -190,9 +190,9 @@ class ScanPool:
     """A persistent shard-scan pool; process-backed when possible.
 
     ``kind`` is ``"process"`` or ``"thread"`` (the graceful fallback).
-    The engine recognizes this interface via :meth:`submit_shard` and
-    takes the scatter-gather path; anything else passed as ``pool`` is
-    treated as a plain per-partition thread executor.
+    It is the only pool the engine accepts: given one, the engine takes
+    the scatter-gather path through :meth:`submit_shard`; without one
+    it scans inline.
     """
 
     def __init__(self, width: int, kind: Optional[str] = None):

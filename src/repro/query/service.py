@@ -8,9 +8,9 @@ the machinery a shared analytics endpoint needs:
   :class:`~repro.query.errors.QueryRejected` immediately when the queue
   is full, so a saturated service sheds load instead of growing without
   bound;
-* a pool of **worker threads** draining the queue, each executing
-  queries through the engine with partition-level parallelism on a
-  shared scan pool;
+* a pool of **worker threads** draining the queue, each scanning its
+  query's partitions inline (or, with ``scan_procs``, sharding them
+  across a shared process scan pool);
 * per-query **deadlines and cancellation** — a query carries its
   deadline from submission, so time spent queued counts against it, and
   :meth:`QueryTicket.cancel` aborts between partitions;
@@ -35,7 +35,7 @@ import queue as _queue
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
@@ -170,13 +170,10 @@ class QueryService:
         self._lock = threading.Lock()
         self.stats = ServiceStats()
         self._closed = False
-        self._scan_pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="query-scan"
-        )
         # With scan_procs > 0, partition scans scatter-gather across a
         # persistent shard pool (processes when the platform allows,
-        # threads otherwise) shared by every worker; the thread scan
-        # pool above still serves as the explicit-thread path.
+        # threads otherwise) shared by every worker; without one, each
+        # worker scans its query's partitions on its own thread.
         self._shard_pool = (
             procpool.make_scan_pool(scan_procs) if scan_procs else None
         )
@@ -201,7 +198,7 @@ class QueryService:
         self.close()
 
     def close(self) -> None:
-        """Drain the queue, stop the workers, release the scan pools.
+        """Drain the queue, stop the workers, release the shard pool.
 
         Queries already queued still execute; new submissions raise.
         The shard pool (if any) is closed without waiting on scans
@@ -217,7 +214,6 @@ class QueryService:
             self._queue.put(None)
         for thread in self._workers:
             thread.join()
-        self._scan_pool.shutdown(wait=True)
         if self._shard_pool is not None:
             self._shard_pool.close()
 
@@ -418,7 +414,7 @@ class QueryService:
             self.stats.cache_misses += 1
         registry.counter("query.cache-misses").inc()
         result = engine.execute_query(
-            store, job.spec, pool=self._shard_pool or self._scan_pool,
+            store, job.spec, pool=self._shard_pool,
             deadline=job.deadline, cancel=job.cancel,
         )
         t_store = time.monotonic()
@@ -452,7 +448,7 @@ class QueryService:
             "scan_pool": (
                 self._shard_pool.describe()
                 if self._shard_pool is not None
-                else {"kind": "thread", "width": self.workers}
+                else {"kind": "inline", "width": self.workers}
             ),
             "stats": self.stats.to_dict(),
         }

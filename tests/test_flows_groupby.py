@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.flows import groupby
 from repro.flows.groupby import GroupIndex
@@ -286,6 +288,99 @@ class TestIntegerExactness:
         assert table.bytes_by_transport_key() == {"TCP/443": exact}
         assert int(table.hourly_bytes(0, 1)[0]) == exact
         assert table.total_bytes() == exact
+
+
+INT_DTYPES = (
+    np.int8, np.int16, np.int32, np.int64,
+    np.uint8, np.uint16, np.uint32, np.uint64,
+)
+
+#: Spans at the radix kernel's one-pass / two-pass / fallback edges.
+EDGE_SPANS = (0, 1, 2**16 - 1, 2**16, 2**16 + 1, 2**32 - 1, 2**32, 2**32 + 1)
+
+
+def reference_index(keys: np.ndarray):
+    """``GroupIndex`` arrays built from a plain stable argsort."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    new_group = np.ones(len(keys), dtype=bool)
+    new_group[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(new_group)
+    codes = np.empty(len(keys), dtype=np.int64)
+    codes[order] = np.cumsum(new_group) - 1
+    return sorted_keys[starts], codes, order, starts
+
+
+@st.composite
+def integer_keys(draw):
+    """Integer keys of any width: edge spans, extremes, heavy ties."""
+    dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
+    info = np.iinfo(dtype)
+    full = int(info.max) - int(info.min)
+    span = min(draw(st.sampled_from(EDGE_SPANS) | st.integers(0, full)), full)
+    low = draw(
+        st.sampled_from([int(info.min), int(info.max) - span])
+        | st.integers(int(info.min), int(info.max) - span)
+    )
+    n = draw(st.sampled_from([0, 1, 2]) | st.integers(900, 2500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.integers(
+        0, span, size=draw(st.integers(1, 64)), endpoint=True,
+        dtype=np.uint64,
+    )
+    offsets = pool[rng.integers(0, pool.size, n)]
+    if n >= 2:
+        # Pin both ends of the span somewhere in the array.
+        ends = rng.choice(n, 2, replace=False)
+        offsets[ends] = (0, span)
+    # uint64 addition wraps, so low + offset lands exactly in ``dtype``.
+    return (offsets + np.uint64(low % 2**64)).astype(dtype)
+
+
+class TestStableOrder:
+    """The radix ordering is exactly a stable argsort's permutation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(keys=integer_keys())
+    def test_index_matches_stable_argsort(self, keys):
+        values, codes, order, starts = reference_index(keys)
+        assert np.array_equal(groupby.stable_order(keys), order)
+        index = GroupIndex.from_values(keys)
+        assert index.values.dtype == keys.dtype
+        assert np.array_equal(index.values, values)
+        assert np.array_equal(index.codes, codes)
+        assert np.array_equal(index.order, order)
+        assert np.array_equal(index.starts, starts)
+
+    @pytest.mark.parametrize("dtype", INT_DTYPES)
+    def test_dtype_extremes(self, dtype):
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(7)
+        keys = rng.choice(
+            np.array([info.min, info.max, info.min + 1, info.max - 1],
+                     dtype=dtype),
+            4096,
+        )
+        assert np.array_equal(
+            groupby.stable_order(keys), np.argsort(keys, kind="stable")
+        )
+
+    @pytest.mark.parametrize("low", [-(2**63), 2**63 - 2**32])
+    @pytest.mark.parametrize("span", [2**16 - 1, 2**16 + 1, 2**32 - 1])
+    def test_int64_offsets_do_not_overflow(self, low, span):
+        rng = np.random.default_rng(span)
+        offsets = rng.integers(0, span, 5000, endpoint=True, dtype=np.uint64)
+        offsets[:2] = (0, span)
+        keys = (offsets + np.uint64(low % 2**64)).astype(np.int64)
+        assert np.array_equal(
+            groupby.stable_order(keys), np.argsort(keys, kind="stable")
+        )
+
+    def test_float_keys_take_comparison_sort(self):
+        keys = np.random.default_rng(3).integers(0, 5, 3000) / 2.0
+        assert np.array_equal(
+            groupby.stable_order(keys), np.argsort(keys, kind="stable")
+        )
 
 
 class TestMetricsCounters:

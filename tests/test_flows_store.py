@@ -1,7 +1,10 @@
 """Unit tests for the partitioned flow store."""
 
 import datetime as dt
+import hashlib
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -311,6 +314,84 @@ class TestIntegrity:
         before = populated.state_token()
         populated.delete_day(dt.date(2020, 2, 20))
         assert populated.state_token() != before
+
+
+def _fresh_token(store: FlowStore) -> str:
+    """The state token recomputed from the manifest file on disk."""
+    path = store.root / "manifest.json"
+    manifest = json.loads(path.read_text()) if path.exists() else {}
+    payload = json.dumps(manifest, sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+class TestStateTokenMemo:
+    """The memoized token always equals a fresh recompute."""
+
+    def test_token_tracks_every_mutation(self, store, three_day_flows):
+        day = dt.date(2020, 2, 19)
+        start = timebase.hour_index(day, 0)
+        day_flows = three_day_flows.between_hours(start, start + 24)
+        seen = {store.state_token()}
+        assert store.state_token() == _fresh_token(store)
+        mutations = [
+            lambda: store.write_day(day, day_flows),
+            lambda: store.write_day(day, day_flows.head(5)),
+            lambda: store.write_day(dt.date(2020, 2, 20), FlowTable.empty()),
+            lambda: store.migrate(FORMAT_V1),
+            lambda: store.delete_day(day),
+        ]
+        for mutate in mutations:
+            store.state_token()  # memoize the pre-mutation token
+            mutate()
+            token = store.state_token()
+            assert token == _fresh_token(store)
+            assert token not in seen
+            seen.add(token)
+        reopened = FlowStore(store.root)
+        assert reopened.state_token() == store.state_token()
+
+    def test_token_never_stale_under_concurrent_writes(
+        self, store, three_day_flows
+    ):
+        day = dt.date(2020, 2, 19)
+        start = timebase.hour_index(day, 0)
+        day_flows = three_day_flows.between_hours(start, start + 24)
+        store.write_day(day, day_flows)
+        done = threading.Event()
+
+        def read_tokens():
+            while not done.is_set():
+                store.state_token()
+
+        readers = [threading.Thread(target=read_tokens) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for i in range(20):
+                # Rewrites keep the day set, so the manifest never
+                # changes size under a concurrent json.dumps.
+                store.write_day(day, day_flows.head(10 + i))
+                assert store.state_token() == _fresh_token(store)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+            for reader in readers:
+                reader.join(timeout=10.0)
+        assert not any(reader.is_alive() for reader in readers)
+        assert store.state_token() == _fresh_token(store)
+
+    def test_token_is_memoized(self, store, three_day_flows, monkeypatch):
+        store.write_range(
+            three_day_flows, dt.date(2020, 2, 19), dt.date(2020, 2, 21)
+        )
+        token = store.state_token()
+        monkeypatch.setattr(
+            json, "dumps",
+            lambda *a, **k: pytest.fail("token recomputed while unchanged"),
+        )
+        assert store.state_token() == token
 
 
 class TestStreamingIntegration:

@@ -3,7 +3,6 @@
 import datetime as dt
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from repro.query import (
     QueryCancelled,
     QuerySpec,
     QueryTimeout,
+    ScanPool,
     execute_plan,
     execute_query,
     plan_query,
@@ -174,7 +174,7 @@ class TestBatchParity:
     def test_pool_matches_serial(self, store):
         spec = _spec(group_by=["transport"], aggregates=["bytes", "flows"])
         serial = execute_query(store, spec)
-        with ThreadPoolExecutor(max_workers=4) as pool:
+        with ScanPool(4, kind="thread") as pool:
             parallel = execute_query(store, spec, pool=pool)
         assert parallel.rows == serial.rows
         assert parallel.partitions_scanned == serial.partitions_scanned
@@ -221,7 +221,7 @@ class TestFailureHandling:
         assert result.rows[0]["bytes"] == intact - victim
 
     def test_corrupt_partition_reported_with_pool(self, flaky_store):
-        with ThreadPoolExecutor(max_workers=4) as pool:
+        with ScanPool(4, kind="thread") as pool:
             result = execute_query(
                 flaky_store, _spec(aggregates=["bytes"]), pool=pool
             )

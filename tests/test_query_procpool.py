@@ -126,12 +126,17 @@ class TestModeParity:
                 assert sharded.rows_scanned == serial.rows_scanned
 
     def test_legacy_thread_executor_still_works(self, store):
-        with ThreadPoolExecutor(max_workers=2) as pool:
+        with ScanPool(2, kind="thread") as pool:
             serial = execute_query(store, _spec(group_by=["transport"]))
             threaded = execute_query(
                 store, _spec(group_by=["transport"]), pool=pool
             )
             assert threaded.rows == serial.rows
+
+    def test_plain_executor_rejected(self, store):
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            with pytest.raises(TypeError, match="ScanPool"):
+                execute_query(store, _spec(), pool=pool)
 
     @needs_fork
     def test_corrupt_partition_fails_identically(

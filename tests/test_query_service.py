@@ -2,6 +2,7 @@
 
 import datetime as dt
 import threading
+import time
 from concurrent.futures import CancelledError
 
 import pytest
@@ -10,12 +11,14 @@ import repro.obs as obs
 from repro import timebase
 from repro.flows.store import FlowStore
 from repro.query import (
+    QueryCancelled,
     QueryError,
     QueryRejected,
     QueryService,
     QuerySpec,
     QueryTimeout,
 )
+from repro.query import engine
 from repro.query import service as service_mod
 
 START = dt.date(2020, 2, 19)
@@ -123,6 +126,7 @@ class TestExecution:
         assert described["workers"] == 2
         assert described["vantages"] == ["isp-ce"]
         assert described["stats"]["served"] == 1
+        assert described["scan_pool"] == {"kind": "inline", "width": 2}
 
 
 class TestCache:
@@ -228,3 +232,54 @@ class TestTelemetry:
         assert counters["query.served"] == 2
         assert counters["query.cache-hits"] == 1
         assert counters["query.partitions-scanned"] == 7
+
+
+class TestInterruptDrill:
+    """Workers scan inline; deadlines and cancels land between partitions."""
+
+    @pytest.fixture
+    def slow_scans(self, monkeypatch):
+        """Every partition scan sleeps 0.2 s; yields a 'scan began' event."""
+        real_scan = engine.scan_partition
+        began = threading.Event()
+
+        def slow_scan(store, day, spec):
+            began.set()
+            time.sleep(0.2)
+            return real_scan(store, day, spec)
+
+        monkeypatch.setattr(engine, "scan_partition", slow_scan)
+        return began
+
+    def test_deadline_hits_at_partition_boundary(
+        self, store_dir, slow_scans, monkeypatch
+    ):
+        with QueryService({"isp-ce": store_dir}, workers=1) as service:
+            t0 = time.monotonic()
+            ticket = service.submit(
+                _spec(aggregates=["flows"], where={"proto": 6}), timeout=0.3
+            )
+            with pytest.raises(QueryTimeout, match=r"after \d/7 partitions"):
+                ticket.result(timeout=10.0)
+            # Raised at the first boundary past the deadline, not after
+            # all seven 0.2 s scans.
+            assert time.monotonic() - t0 < 1.2
+            monkeypatch.undo()
+            # The same (only) worker serves the next query.
+            result = service.run(_spec(aggregates=["flows"]))
+            assert result.n_failed == 0
+            assert result.partitions_scanned == 7
+            stats = service.stats
+        assert stats.timeouts == 1
+        assert stats.served == 1
+
+    def test_cancel_aborts_running_query(self, store_dir, slow_scans):
+        with QueryService({"isp-ce": store_dir}, workers=1) as service:
+            ticket = service.submit(
+                _spec(aggregates=["bytes"], where={"proto": 17})
+            )
+            assert slow_scans.wait(timeout=10.0)
+            assert ticket.cancel()
+            with pytest.raises(QueryCancelled):
+                ticket.result(timeout=10.0)
+            assert service.stats.failed == 1
