@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import tempfile
-from pathlib import Path
+import math
 from typing import Dict, List, Optional, Tuple
 
 from repro import timebase
@@ -17,6 +16,10 @@ from repro.synth import datasets
 from repro.synth.datasets import DatasetRequest
 from repro.synth.scenario import Scenario
 
+#: Stands in for a port missing from a growth table: its NaN growths
+#: fail every check that reads them, so no check can vanish.
+_ABSENT = ports.PortGrowth("absent", math.nan, math.nan, math.nan)
+
 #: Per-vantage analysis weeks (shared keys with Figs 9/10 where the
 #: paper reuses the same calendar weeks).
 WEEKS = {
@@ -25,49 +28,46 @@ WEEKS = {
 }
 
 
+def _week_requests(
+    config: PipelineConfig, name: str
+) -> List[DatasetRequest]:
+    """The vantage's analysis-week requests, in calendar order."""
+    return [
+        datasets.week_flows_request(name, week, config.flow_fidelity)
+        for week in WEEKS[name].values()
+    ]
+
+
 def _datasets(scenario: Scenario,
               config: PipelineConfig) -> Tuple[DatasetRequest, ...]:
     return tuple(
-        datasets.week_flows_request(name, week, config.flow_fidelity)
-        for name, weeks in WEEKS.items()
-        for week in weeks.values()
+        request for name in WEEKS for request in _week_requests(config, name)
     )
-
-
-def _week_flows(
-    scenario: Scenario, config: PipelineConfig, name: str
-) -> Tuple[FlowTable, List[Tuple[timebase.Week, FlowTable]]]:
-    """The vantage's analysis weeks: concatenated plus per-week tables."""
-    weeks = list(WEEKS[name].values())
-    tables = datasets.fetch_many(
-        scenario,
-        [
-            datasets.week_flows_request(name, week, config.flow_fidelity)
-            for week in weeks
-        ],
-    )
-    return FlowTable.concat(tables), list(zip(weeks, tables))
 
 
 def _query_port_mix(
-    name: str, week_tables: List[Tuple[timebase.Week, FlowTable]]
+    scenario: Scenario, name: str, requests: List[DatasetRequest],
+    tables: List[FlowTable],
 ) -> Tuple[Dict[str, int], int]:
     """The vantage's port-mix table served through the query subsystem.
 
-    Writes each analysis week into one day-partitioned store (the
-    weeks are disjoint, so the store has gaps the planner must skip)
-    and runs a single ``group_by=("transport",)`` query across the
-    whole span.  Returns (bytes per PROTO/port label, failed
-    partitions).
+    Each analysis week is sealed into one day-partitioned store (the
+    weeks are disjoint, so the store has gaps the planner must skip),
+    once per dataset cache, and a fresh service runs a single
+    ``group_by=("transport",)`` query across the whole span.  Returns
+    (bytes per PROTO/port label, failed partitions).
     """
-    with tempfile.TemporaryDirectory(prefix="fig07-store-") as tmp:
-        store = FlowStore(Path(tmp) / name)
-        for week, table in week_tables:
-            store.write_range(table, week.start, week.end)
+
+    def build(store: FlowStore) -> None:
+        for request, table in zip(requests, tables):
+            store.write_range(table, request.start, request.end)
+
+    key = ("fig07/port-mix", name, *requests)
+    with datasets.sealed_store(scenario, key, build) as store:
         spec = QuerySpec.build(
             name,
-            min(week.start for week, _ in week_tables),
-            max(week.end for week, _ in week_tables),
+            min(request.start for request in requests),
+            max(request.end for request in requests),
             group_by=["transport"], aggregates=["bytes"],
         )
         with QueryService({name: store}, workers=2) as service:
@@ -91,11 +91,15 @@ def run_fig07(scenario: Scenario,
     query_failed_partitions = 0
     for name, weeks in WEEKS.items():
         vantage = scenario.vantage(name)
-        flows, week_tables = _week_flows(scenario, config, name)
+        requests = _week_requests(config, name)
+        tables = datasets.fetch_many(scenario, requests)
+        flows = FlowTable.concat(tables)
         # Port-mix table through the query subsystem: the engine's
         # grouped byte sums are exact, so they must equal the batch
         # table bit-for-bit.
-        engine_mix, n_failed = _query_port_mix(name, week_tables)
+        engine_mix, n_failed = _query_port_mix(
+            scenario, name, requests, tables
+        )
         query_parity &= engine_mix == flows.bytes_by_transport_key()
         query_failed_partitions += n_failed
         region = vantage.region
@@ -107,16 +111,13 @@ def run_fig07(scenario: Scenario,
         all_patterns[name] = (pattern, growth)
         top = ports.top_ports(flows)
         result.metrics[f"{name}/n-top-ports"] = float(len(top))
-        quic = growth.get("UDP/443")
-        if quic:
-            result.metrics[f"{name}/quic-growth"] = quic.workday_growth
-        nat = growth.get("UDP/4500")
-        if nat:
-            result.metrics[f"{name}/udp4500-growth"] = nat.workday_growth
-            result.metrics[f"{name}/udp4500-weekend"] = nat.weekend_growth
-        alt = growth.get("TCP/8080")
-        if alt:
-            result.metrics[f"{name}/tcp8080-growth"] = alt.workday_growth
+        quic = growth.get("UDP/443", _ABSENT)
+        result.metrics[f"{name}/quic-growth"] = quic.workday_growth
+        nat = growth.get("UDP/4500", _ABSENT)
+        result.metrics[f"{name}/udp4500-growth"] = nat.workday_growth
+        result.metrics[f"{name}/udp4500-weekend"] = nat.weekend_growth
+        alt = growth.get("TCP/8080", _ABSENT)
+        result.metrics[f"{name}/tcp8080-growth"] = alt.workday_growth
     result.checks["query engine: port mix matches batch exactly"] = (
         query_parity
     )
@@ -151,30 +152,26 @@ def run_fig07(scenario: Scenario,
     result.checks["GRE/ESP decrease at the IXP-CE"] = (
         bool(tunnels_down) and all(tunnels_down)
     )
-    gre_isp = isp_growth.get("GRE")
-    if gre_isp:
-        result.metrics["isp-ce/gre-growth"] = gre_isp.workday_growth
-        result.checks["GRE slightly increases at the ISP"] = (
-            0.0 <= gre_isp.workday_growth <= 0.45
-        )
-    zoom = isp_growth.get("UDP/8801")
-    if zoom:
-        result.metrics["isp-ce/zoom-growth"] = zoom.workday_growth
-        result.checks["Zoom grows by an order of magnitude at the ISP"] = (
-            zoom.workday_growth >= 4.0
-        )
-    imap = isp_growth.get("TCP/993")
-    if imap:
-        result.metrics["isp-ce/imap-growth"] = imap.workday_growth
-        result.checks["IMAP-TLS grows ~60% during working hours"] = (
-            0.25 <= imap.workday_growth <= 1.1
-        )
-    cf = ixp_growth.get("UDP/2408")
-    if cf:
-        result.metrics["ixp-ce/cloudflare-growth"] = cf.workday_growth
-        result.checks["Cloudflare LB port flat"] = (
-            abs(cf.workday_growth) < 0.25
-        )
+    gre_isp = isp_growth.get("GRE", _ABSENT)
+    result.metrics["isp-ce/gre-growth"] = gre_isp.workday_growth
+    result.checks["GRE slightly increases at the ISP"] = (
+        0.0 <= gre_isp.workday_growth <= 0.45
+    )
+    zoom = isp_growth.get("UDP/8801", _ABSENT)
+    result.metrics["isp-ce/zoom-growth"] = zoom.workday_growth
+    result.checks["Zoom grows by an order of magnitude at the ISP"] = (
+        zoom.workday_growth >= 4.0
+    )
+    imap = isp_growth.get("TCP/993", _ABSENT)
+    result.metrics["isp-ce/imap-growth"] = imap.workday_growth
+    result.checks["IMAP-TLS grows ~60% during working hours"] = (
+        0.25 <= imap.workday_growth <= 1.1
+    )
+    cf = ixp_growth.get("UDP/2408", _ABSENT)
+    result.metrics["ixp-ce/cloudflare-growth"] = cf.workday_growth
+    result.checks["Cloudflare LB port flat"] = (
+        abs(cf.workday_growth) < 0.25
+    )
     result.rendered = figrender.render_series_table(
         {
             key: list(p[-1].workday)

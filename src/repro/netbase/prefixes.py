@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import ipaddress
 import math
+import threading
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -51,13 +52,20 @@ class Prefix:
 
 
 class PrefixMap:
-    """O(1) address-to-AS lookup over /16 allocations."""
+    """O(1) address-to-AS lookup over /16 allocations.
+
+    Also the home of each AS's deterministic server-address pools
+    (:meth:`server_pool`): they depend only on the allocation, so every
+    flow sampler of a scenario shares one copy.
+    """
 
     def __init__(self, table: np.ndarray, owners: Dict[int, List[Prefix]]):
         if table.shape != (65536,):
             raise ValueError("lookup table must have 65536 entries")
         self._table = table
         self._owners = owners
+        self._server_pools: Dict[Tuple[int, int], np.ndarray] = {}
+        self._pools_lock = threading.Lock()
 
     def asn_for(self, address: int) -> int:
         """Origin AS of ``address``; -1 if the space is unallocated."""
@@ -72,6 +80,29 @@ class PrefixMap:
     def prefixes_of(self, asn: int) -> List[Prefix]:
         """Prefixes allocated to ``asn`` (empty if none)."""
         return list(self._owners.get(asn, ()))
+
+    def server_pool(self, asn: int, size: int) -> np.ndarray:
+        """``asn``'s ``size`` stable server addresses (read-only).
+
+        Equal to ``deterministic_addresses_in(prefixes_of(asn), size,
+        salt=asn)``, built once per ``(asn, size)`` and shared by every
+        caller, so the array is frozen.  Raises ``ValueError`` for an
+        AS without prefixes.
+        """
+        asn, size = int(asn), int(size)
+        pool = self._server_pools.get((asn, size))
+        if pool is not None:
+            return pool
+        with self._pools_lock:
+            pool = self._server_pools.get((asn, size))
+            if pool is None:
+                prefixes = self._owners.get(asn)
+                if not prefixes:
+                    raise ValueError(f"AS {asn} has no allocated prefixes")
+                pool = deterministic_addresses_in(prefixes, size, salt=asn)
+                pool.flags.writeable = False
+                self._server_pools[(asn, size)] = pool
+        return pool
 
     def owns(self, asn: int, address: int) -> bool:
         """Whether ``address`` lies inside a prefix of ``asn``."""

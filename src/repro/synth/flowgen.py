@@ -29,11 +29,7 @@ import repro.obs as obs
 from repro.flows.record import PROTO_ESP, PROTO_GRE, PROTO_ICMP
 from repro.flows.table import FlowTable
 from repro.netbase.asdb import ASCategory, ASRegistry
-from repro.netbase.prefixes import (
-    PrefixMap,
-    deterministic_addresses_in,
-    random_addresses_in,
-)
+from repro.netbase.prefixes import PrefixMap, random_addresses_in
 from repro.series import HourlySeries
 from repro.synth.profiles import (
     AppProfile,
@@ -94,7 +90,6 @@ class FlowSampler:
         self._vpn_gateway_ips = tuple(vpn_gateway_ips)
         self._edu_internal = tuple(edu_internal_asns)
         self._rng = np.random.default_rng(seed)
-        self._server_pools: Dict[int, np.ndarray] = {}
         self._pool_cache: Dict[object, _PoolSpec] = {}
 
     # -- pool resolution ------------------------------------------------------
@@ -162,17 +157,9 @@ class FlowSampler:
         return spec
 
     def _server_pool_for(self, asn: int) -> np.ndarray:
-        pool = self._server_pools.get(asn)
-        if pool is None:
-            info = self._registry.get(asn)
-            weight = info.weight if info else 1.0
-            size = 4 + int(weight * 4)
-            prefixes = self._prefix_map.prefixes_of(asn)
-            if not prefixes:
-                raise ValueError(f"AS {asn} has no allocated prefixes")
-            pool = deterministic_addresses_in(prefixes, size, salt=asn)
-            self._server_pools[asn] = pool
-        return pool
+        info = self._registry.get(asn)
+        weight = info.weight if info else 1.0
+        return self._prefix_map.server_pool(asn, 4 + int(weight * 4))
 
     # -- address drawing ------------------------------------------------------
 

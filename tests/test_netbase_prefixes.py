@@ -124,3 +124,24 @@ class TestAddressDrawing:
             deterministic_addresses_in(
                 prefix_map.prefixes_of(100), -1, salt=0
             )
+
+
+class TestServerPools:
+    def test_pool_equals_deterministic_addresses(self, prefix_map):
+        for asn, size in ((100, 16), (200, 6), (100, 1)):
+            expected = deterministic_addresses_in(
+                prefix_map.prefixes_of(asn), size, salt=asn
+            )
+            assert np.array_equal(prefix_map.server_pool(asn, size), expected)
+
+    def test_pool_is_shared_and_read_only(self, prefix_map):
+        pool = prefix_map.server_pool(100, 8)
+        assert prefix_map.server_pool(100, 8) is pool
+        assert prefix_map.server_pool(100, 9) is not pool
+        assert not pool.flags.writeable
+        with pytest.raises(ValueError):
+            pool[0] = 0
+
+    def test_pool_needs_prefixes(self, prefix_map):
+        with pytest.raises(ValueError, match="no allocated prefixes"):
+            prefix_map.server_pool(999, 4)
