@@ -70,6 +70,7 @@ import json
 import os
 import shutil
 import threading
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -263,36 +264,6 @@ def reset_verified_cache() -> None:
 # -- writes -------------------------------------------------------------------
 
 
-def _hour_preaggregates(
-    flows: FlowTable, day_start: int
-) -> Tuple[List[int], List[int]]:
-    """Exact per-hour ``bytes``/``flows`` totals for one day partition."""
-    byte_bins = np.zeros(_HOURS, dtype=np.int64)
-    flow_bins = np.zeros(_HOURS, dtype=np.int64)
-    if len(flows):
-        index = flows.group_index("hour")
-        rel = (index.values - day_start).astype(np.intp)
-        byte_bins[rel] = index.sum(flows.column("n_bytes"))
-        flow_bins[rel] = index.counts()
-    return [int(v) for v in byte_bins], [int(v) for v in flow_bins]
-
-
-def _derived_zones(flows: FlowTable) -> Dict[str, Optional[List[int]]]:
-    """Exact (min, max) of each derived key, computed at seal time.
-
-    Stored in the sidecar so the planner can zone-prune predicates on
-    ``service_port``/``transport`` without materializing base columns.
-    """
-    zones: Dict[str, Optional[List[int]]] = {}
-    for key in DERIVED_KEYS:
-        if not len(flows):
-            zones[key] = None
-            continue
-        values = flows.key_array(key)
-        zones[key] = [int(values.min()), int(values.max())]
-    return zones
-
-
 def _seal_dir(temp: Path, final_dir: Path) -> None:
     """Swap a fully-built partition directory into place atomically."""
     trash = final_dir.with_name(final_dir.name + ".old")
@@ -314,63 +285,6 @@ def _write_sidecar(sidecar: dict, temp: Path) -> str:
     ).encode("utf-8")
     (temp / SIDECAR).write_bytes(payload)
     return hashlib.sha256(payload).hexdigest()
-
-
-def write_partition(
-    flows: FlowTable, final_dir: Path, day_start: int,
-    fmt: Optional[int] = None,
-) -> Tuple[dict, str]:
-    """Write one day's flows as a v2 or v3 partition directory, atomically.
-
-    Builds the whole partition (segments + sidecar) under a temporary
-    sibling directory and swaps it into place, so readers never observe
-    a half-written day.  ``fmt`` picks the layout (default: v3, or v2
-    under ``REPRO_NO_COLSTORE_V3``).  Returns ``(sidecar payload,
-    sidecar sha256)``; the caller records the sidecar hash in the store
-    manifest, chaining manifest → sidecar → column parts.
-    """
-    if fmt is None:
-        fmt = FORMAT_V3 if v3_enabled() else FORMAT_V2
-    if fmt not in (FORMAT_V2, FORMAT_V3):
-        raise ValueError(f"unknown columnar partition format {fmt!r}")
-    final_dir = Path(final_dir)
-    temp = final_dir.with_name(final_dir.name + ".tmp")
-    if temp.exists():
-        shutil.rmtree(temp)
-    temp.mkdir(parents=True)
-    if fmt == FORMAT_V3:
-        sidecar = _build_partition_v3(flows, temp, day_start)
-    else:
-        sidecar = _build_partition_v2(flows, temp, day_start)
-    sidecar_sha = _write_sidecar(sidecar, temp)
-    _seal_dir(temp, final_dir)
-    obs.counter("colstore.partitions-written").inc()
-    return sidecar, sidecar_sha
-
-
-def _build_partition_v2(
-    flows: FlowTable, temp: Path, day_start: int
-) -> dict:
-    columns_meta: Dict[str, Dict[str, object]] = {}
-    for name in COLUMNS:
-        column = flows.column(name)
-        sha = write_npy_segment(column, temp / f"{name}.npy")
-        columns_meta[name] = {
-            "sha256": sha,
-            "dtype": column.dtype.str,
-            "nbytes": int(column.nbytes),
-            "min": int(column.min()) if len(column) else None,
-            "max": int(column.max()) if len(column) else None,
-        }
-    byte_bins, flow_bins = _hour_preaggregates(flows, day_start)
-    return {
-        "format": FORMAT_V2,
-        "rows": len(flows),
-        "day_start": day_start,
-        "columns": columns_meta,
-        "derived_zones": _derived_zones(flows),
-        "hours": {"bytes": byte_bins, "flows": flow_bins},
-    }
 
 
 class _PartWriter:
@@ -400,53 +314,198 @@ class _PartWriter:
         return len(self._blob)
 
 
-def _build_partition_v3(
-    flows: FlowTable, temp: Path, day_start: int
-) -> dict:
-    writer = _PartWriter()
-    columns_meta: Dict[str, Dict[str, object]] = {}
-    indexes: Dict[str, Dict[str, object]] = {}
-    rows = len(flows)
-    for name in COLUMNS:
-        column = flows.column(name)
-        enc_meta, parts = encodings.encode_column(column)
-        meta: Dict[str, object] = {
+class RangeSeal:
+    """Seal work shared by the day partitions of one table range.
+
+    ``rows`` index the range's rows of ``flows``, grouped by day, each
+    day's rows in input order.  ``rows[bounds[i]:bounds[i + 1]]`` are
+    day ``i``, whose first hour is ``first_hour + 24 * i``.  Each
+    column's per-day dictionaries, the derived-key zones and the hour
+    pre-aggregates are computed once for the whole range, on first use,
+    and sliced per day by :meth:`write`; each partition pays only for
+    gathering its rows, hashing, its sidecar and its file writes.
+    """
+
+    def __init__(self, flows: FlowTable, rows: np.ndarray,
+                 bounds: np.ndarray, first_hour: int):
+        self._flows = flows
+        self._rows = rows
+        self._bounds = bounds
+        self._first_hour = first_hour
+
+    def __len__(self) -> int:
+        return len(self._bounds) - 1
+
+    def rows(self, i: int) -> int:
+        """Row count of day ``i``."""
+        return int(self._bounds[i + 1] - self._bounds[i])
+
+    def total_bytes(self, i: int) -> int:
+        """Traffic bytes of day ``i``."""
+        return int(self._hours[0][i].sum())
+
+    def table(self, i: int) -> FlowTable:
+        """Day ``i``'s rows."""
+        return self._flows.take(self._day_rows(i))
+
+    def _day_rows(self, i: int) -> np.ndarray:
+        return self._rows[self._bounds[i]:self._bounds[i + 1]]
+
+    def _range_column(self, name: str) -> np.ndarray:
+        """``name`` over the range's rows, grouped by day."""
+        return self._flows.column(name)[self._rows]
+
+    @cached_property
+    def _dictionaries(self) -> Dict[str, tuple]:
+        dictionaries = {}
+        for name in COLUMNS:
+            values, codes, counts, value_bounds = encodings.segment_unique(
+                self._range_column(name), self._bounds)
+            # The codes live as long as the seal: keep them narrow.
+            widest = int(np.diff(value_bounds).max(initial=1))
+            codes = codes.astype(encodings.codes_dtype(widest))
+            dictionaries[name] = (values, codes, counts, value_bounds)
+        return dictionaries
+
+    @cached_property
+    def _hours(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Exact per-day, per-hour ``bytes``/``flows`` totals."""
+        bins = len(self) * _HOURS
+        rel = self._range_column("hour") - self._first_hour
+        byte_bins = np.zeros(bins, dtype=np.int64)
+        np.add.at(byte_bins, rel, self._range_column("n_bytes"))
+        flow_bins = np.bincount(rel, minlength=bins)
+        return (byte_bins.reshape(len(self), _HOURS),
+                flow_bins.reshape(len(self), _HOURS))
+
+    @cached_property
+    def _zones(self) -> List[Dict[str, Optional[List[int]]]]:
+        """Per day, the exact (min, max) of each derived key.
+
+        Stored in the sidecar so the planner can zone-prune predicates
+        on ``service_port``/``transport`` without materializing base
+        columns.  Empty days get ``None``.
+        """
+        proto = self._range_column("proto")
+        service = compute_service_port(
+            proto, self._range_column("src_port"),
+            self._range_column("dst_port"))
+        keys = {"service_port": service,
+                "transport": compute_transport(proto, service)}
+        zones = [dict.fromkeys(DERIVED_KEYS) for _ in range(len(self))]
+        nonempty = np.flatnonzero(np.diff(self._bounds))
+        if len(nonempty):
+            starts = self._bounds[nonempty]
+            for key in DERIVED_KEYS:
+                mins = np.minimum.reduceat(keys[key], starts).tolist()
+                maxs = np.maximum.reduceat(keys[key], starts).tolist()
+                for day, low, high in zip(nonempty.tolist(), mins, maxs):
+                    zones[day][key] = [low, high]
+        return zones
+
+    def _day_dictionary(self, i: int, name: str) -> tuple:
+        """``_unique`` of day ``i``'s ``name`` column: values, codes, counts."""
+        values, codes, counts, value_bounds = self._dictionaries[name]
+        v_lo, v_hi = value_bounds[i], value_bounds[i + 1]
+        return (values[v_lo:v_hi],
+                codes[self._bounds[i]:self._bounds[i + 1]],
+                counts[v_lo:v_hi])
+
+    def _sidecar(self, i: int, fmt: int, columns: dict) -> dict:
+        """Day ``i``'s sidecar fields shared by v2 and v3."""
+        byte_bins, flow_bins = self._hours
+        return {
+            "format": fmt,
+            "rows": self.rows(i),
+            "day_start": self._first_hour + _HOURS * i,
+            "columns": columns,
+            "derived_zones": self._zones[i],
+            "hours": {"bytes": byte_bins[i].tolist(),
+                      "flows": flow_bins[i].tolist()},
+        }
+
+    @staticmethod
+    def _column_meta(column: np.ndarray, values: np.ndarray) -> dict:
+        """dtype, size and zone of a column whose sorted distinct values
+        are ``values``."""
+        return {
             "dtype": column.dtype.str,
             "nbytes": int(column.nbytes),
-            "min": int(column.min()) if rows else None,
-            "max": int(column.max()) if rows else None,
+            "min": int(values[0]) if len(values) else None,
+            "max": int(values[-1]) if len(values) else None,
         }
-        meta.update(enc_meta)
-        meta["parts"] = {
-            role: writer.add(part) for role, part in parts.items()
-        }
-        columns_meta[name] = meta
-        if (
-            enc_meta["encoding"] == encodings.DICT
-            and enc_meta["cardinality"] <= encodings.BITMAP_MAX_CARD
-            and rows
-        ):
-            bitmap = encodings.build_bitmap(
-                parts["codes"], enc_meta["cardinality"]
-            )
-            indexes[name] = {
-                "kind": "bitmap",
-                "cardinality": enc_meta["cardinality"],
-                "row_nbytes": encodings.bitmap_row_nbytes(rows),
-                "part": writer.add(bitmap),
+
+    def write(self, i: int, final_dir: Path, fmt: int) -> Tuple[dict, str]:
+        """Write day ``i`` as a v2 or v3 partition directory, atomically.
+
+        Builds the whole partition (segments + sidecar) under a
+        temporary sibling directory and swaps it into place, so readers
+        never observe a half-written day.  ``fmt`` picks the layout.
+        Returns ``(sidecar payload, sidecar sha256)``; the caller
+        records the sidecar hash in the store manifest, chaining
+        manifest → sidecar → column parts.
+        """
+        if fmt not in (FORMAT_V2, FORMAT_V3):
+            raise ValueError(f"unknown columnar partition format {fmt!r}")
+        final_dir = Path(final_dir)
+        temp = final_dir.with_name(final_dir.name + ".tmp")
+        if temp.exists():
+            shutil.rmtree(temp)
+        temp.mkdir(parents=True)
+        if fmt == FORMAT_V3:
+            sidecar = self._build_v3(i, temp)
+        else:
+            sidecar = self._build_v2(i, temp)
+        sidecar_sha = _write_sidecar(sidecar, temp)
+        _seal_dir(temp, final_dir)
+        obs.counter("colstore.partitions-written").inc()
+        return sidecar, sidecar_sha
+
+    def _build_v2(self, i: int, temp: Path) -> dict:
+        columns_meta: Dict[str, Dict[str, object]] = {}
+        day_rows = self._day_rows(i)
+        for name in COLUMNS:
+            column = self._flows.column(name)[day_rows]
+            meta = {"sha256": write_npy_segment(column, temp / f"{name}.npy")}
+            meta.update(self._column_meta(
+                column, self._day_dictionary(i, name)[0]))
+            columns_meta[name] = meta
+        return self._sidecar(i, FORMAT_V2, columns_meta)
+
+    def _build_v3(self, i: int, temp: Path) -> dict:
+        writer = _PartWriter()
+        columns_meta: Dict[str, Dict[str, object]] = {}
+        indexes: Dict[str, Dict[str, object]] = {}
+        rows = self.rows(i)
+        day_rows = self._day_rows(i)
+        for name in COLUMNS:
+            column = self._flows.column(name)[day_rows]
+            unique = self._day_dictionary(i, name)
+            enc_meta, parts = encodings.encode_column(column, unique)
+            meta = self._column_meta(column, unique[0])
+            meta.update(enc_meta)
+            meta["parts"] = {
+                role: writer.add(part) for role, part in parts.items()
             }
-    writer.write(temp / DATA_FILE)
-    byte_bins, flow_bins = _hour_preaggregates(flows, day_start)
-    return {
-        "format": FORMAT_V3,
-        "rows": rows,
-        "day_start": day_start,
-        "data_file": DATA_FILE,
-        "columns": columns_meta,
-        "indexes": indexes,
-        "derived_zones": _derived_zones(flows),
-        "hours": {"bytes": byte_bins, "flows": flow_bins},
-    }
+            columns_meta[name] = meta
+            if (
+                enc_meta["encoding"] == encodings.DICT
+                and enc_meta["cardinality"] <= encodings.BITMAP_MAX_CARD
+                and rows
+            ):
+                bitmap = encodings.build_bitmap(
+                    parts["codes"], enc_meta["cardinality"]
+                )
+                indexes[name] = {
+                    "kind": "bitmap",
+                    "cardinality": enc_meta["cardinality"],
+                    "row_nbytes": encodings.bitmap_row_nbytes(rows),
+                    "part": writer.add(bitmap),
+                }
+        writer.write(temp / DATA_FILE)
+        sidecar = self._sidecar(i, FORMAT_V3, columns_meta)
+        sidecar.update({"data_file": DATA_FILE, "indexes": indexes})
+        return sidecar
 
 
 # -- reads --------------------------------------------------------------------

@@ -102,9 +102,49 @@ def _unique(array: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.unique(array, return_inverse=True, return_counts=True)
 
 
-def dict_encode(array: np.ndarray) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]] | None:
-    """Encode via sorted unique values + codes, or None when not worthwhile."""
-    values, codes, counts = _unique(array)
+def segment_unique(
+    array: np.ndarray, bounds: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_unique` of every segment ``array[bounds[i]:bounds[i + 1]]``.
+
+    One :func:`_unique` over a combined (segment, value) key replaces a
+    call per segment.  Returns ``(values, codes, counts, value_bounds)``:
+    segment ``i``'s sorted distinct values and their counts are
+    ``values[value_bounds[i]:value_bounds[i + 1]]`` (likewise
+    ``counts``), and ``codes[bounds[i]:bounds[i + 1]]`` index them,
+    exactly as ``_unique`` of the segment alone returns them.
+    """
+    n_segments = len(bounds) - 1
+    segment = np.repeat(
+        np.arange(n_segments, dtype=np.int64), np.diff(bounds))
+    lo, hi = (int(array.min()), int(array.max())) if array.size else (0, 0)
+    if (np.can_cast(array.dtype, np.int64)
+            and (hi - lo + 1) * n_segments < 1 << 63):
+        distinct, slots, span = None, array.astype(np.int64) - lo, hi - lo + 1
+    else:
+        # Too wide to pair with the segment in one int64: key on each
+        # value's rank among the distinct values instead.
+        distinct, slots = np.unique(array, return_inverse=True)
+        span = distinct.size
+    keys, inverse, counts = _unique(segment * span + slots)
+    key_segments = keys // span
+    key_slots = keys - key_segments * span
+    values = ((key_slots + lo).astype(array.dtype) if distinct is None
+              else distinct[key_slots])
+    value_bounds = np.searchsorted(key_segments, np.arange(n_segments + 1))
+    return values, inverse - value_bounds[segment], counts, value_bounds
+
+
+def dict_encode(
+    array: np.ndarray,
+    unique: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]] | None:
+    """Encode via sorted unique values + codes, or None when not worthwhile.
+
+    ``unique`` is ``_unique(array)`` when the caller already has it
+    (sealing takes it from :func:`segment_unique`).
+    """
+    values, codes, counts = _unique(array) if unique is None else unique
     card = int(values.size)
     if card > DICT_MAX_CARD:
         return None
@@ -118,8 +158,8 @@ def dict_encode(array: np.ndarray) -> Tuple[Dict[str, Any], Dict[str, np.ndarray
         "values_dtype": values.dtype.str,
     }
     if card <= STATS_MAX_CARD:
-        meta["values"] = [int(v) for v in values]
-        meta["counts"] = [int(c) for c in counts]
+        meta["values"] = values.tolist()
+        meta["counts"] = counts.tolist()
     return meta, {"codes": codes, "values": values}
 
 
@@ -237,20 +277,24 @@ def bitmap_select(bitmap: np.ndarray, value_slots: np.ndarray, rows: int) -> np.
 #: like ``hour``) covers that decode tax.
 DELTA_WIN_FACTOR = 4
 
-def encode_column(array: np.ndarray) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+def encode_column(
+    array: np.ndarray,
+    unique: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
     """Pick the cheapest-to-scan encoding for ``array``.
 
     Returns ``(meta, parts)`` where ``meta['encoding']`` names the winner and
     ``parts`` maps part-role names to contiguous arrays to be serialized.
     Smallest wins among the random-access encodings (dict, raw); delta is
-    admitted only past :data:`DELTA_WIN_FACTOR`.
+    admitted only past :data:`DELTA_WIN_FACTOR`.  ``unique`` is passed
+    on to :func:`dict_encode`.
     """
     raw = np.ascontiguousarray(array)
     raw_nbytes = raw.nbytes
 
     access_size = raw_nbytes
     best = None
-    encoded = dict_encode(array)
+    encoded = dict_encode(array, unique)
     if encoded is not None:
         meta, parts = encoded
         size = sum(p.nbytes for p in parts.values())

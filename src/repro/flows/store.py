@@ -51,6 +51,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+import repro.obs as obs
 from repro import timebase
 from repro.flows import colstore
 from repro.flows.colstore import (
@@ -153,9 +154,15 @@ class FlowStore:
     def _partition_dir(self, day: _dt.date) -> Path:
         return self._root / day.isoformat()
 
-    def _save_manifest(self) -> None:
-        # Every manifest change ends here: retire the memoized token.
+    def _changed(self, key: str) -> None:
+        """Note an in-memory manifest change to one day."""
+        # Retire the memoized token and any cached partition handle.
         self._version += 1
+        self._invalidate(key)
+
+    def _save_manifest(self) -> None:
+        """Write the in-memory manifest to disk."""
+        obs.counter("store.manifest-writes").inc()
         # Compact separators keep json.dumps on its C encoder; an
         # indent forces the pure-Python one on every write_day.
         temp = self._root / (_MANIFEST + ".tmp")
@@ -289,37 +296,7 @@ class FlowStore:
             raise ValueError(
                 f"flows outside {day} cannot go into its partition"
             )
-        fmt = partition_format or self.default_format
-        if fmt not in _ALL_FORMATS:
-            raise ValueError(f"unknown partition format {fmt!r}")
-        key = day.isoformat()
-        if fmt in (FORMAT_V2, FORMAT_V3):
-            _, sidecar_sha = colstore.write_partition(
-                flows, self._partition_dir(day), start, fmt=fmt
-            )
-            checksum = sidecar_sha
-            # Drop a leftover v1 archive from a format switch.
-            if self._partition_path(day).exists():
-                self._partition_path(day).unlink()
-        else:
-            final = self._partition_path(day)
-            # The temp name must end in .npz or numpy appends the suffix.
-            temp = final.with_suffix(".tmp.npz")
-            write_npz(flows, temp)
-            checksum = file_sha256(temp)
-            os.replace(temp, final)
-            if self._partition_dir(day).exists():
-                shutil.rmtree(self._partition_dir(day))
-        entry: Dict[str, object] = {
-            "flows": len(flows),
-            "bytes": flows.total_bytes(),
-            "sha256": checksum,
-        }
-        if fmt != FORMAT_V1:
-            entry["format"] = fmt
-        self._manifest[key] = entry
-        self._invalidate(key)
-        self._save_manifest()
+        self.write_range(flows, day, day, partition_format)
 
     def write_range(
         self, flows: FlowTable, start_day: _dt.date, end_day: _dt.date,
@@ -331,22 +308,65 @@ class FlowStore:
         its rows in input order, rows outside the range are dropped, and
         days inside the range with no flows get an empty partition,
         making subsequent coverage checks unambiguous.
+
+        Work that spans the range is done once per call: the split into
+        days, each column's per-day dictionaries, the derived-key zones
+        and the hour pre-aggregates (:class:`colstore.RangeSeal`).  The
+        manifest file is written once, when the call ends, also when a
+        day fails part-way, so every day written before it stays listed.
         """
         if end_day < start_day:
             raise ValueError("end_day precedes start_day")
+        fmt = partition_format or self.default_format
+        if fmt not in _ALL_FORMATS:
+            raise ValueError(f"unknown partition format {fmt!r}")
         n_days = (end_day - start_day).days + 1
-        day_of_row = (
-            flows.column("hour") - timebase.hour_index(start_day, 0)
-        ) // 24
+        first_hour = timebase.hour_index(start_day, 0)
+        day_of_row = (flows.column("hour") - first_hour) // 24
         # One stable sort by day, then each day is a slice of the
-        # order: rows are gathered per day, never as a sorted copy of
-        # the whole table.
+        # range's rows, which keep their input order within the day.
         order = np.argsort(day_of_row, kind="stable")
         bounds = np.searchsorted(day_of_row[order], np.arange(n_days + 1))
-        for i, day in enumerate(timebase.iter_days(start_day, end_day)):
-            self.write_day(day, flows.take(order[bounds[i]:bounds[i + 1]]),
-                           partition_format=partition_format)
+        rows = order[bounds[0]:bounds[-1]]
+        seal = colstore.RangeSeal(flows, rows, bounds - bounds[0], first_hour)
+        with obs.span("flows/write-range") as span:
+            span.set_metric("partitions", n_days)
+            span.set_metric("flows", len(rows))
+            try:
+                for i, day in enumerate(
+                        timebase.iter_days(start_day, end_day)):
+                    self._write_partition(seal, i, day, fmt)
+            finally:
+                self._save_manifest()
         return n_days
+
+    def _write_partition(self, seal: colstore.RangeSeal, i: int,
+                         day: _dt.date, fmt: int) -> None:
+        """Write ``seal``'s day ``i`` and list it in the in-memory manifest."""
+        if fmt in (FORMAT_V2, FORMAT_V3):
+            _, checksum = seal.write(i, self._partition_dir(day), fmt)
+            # Drop a leftover v1 archive from a format switch.
+            if self._partition_path(day).exists():
+                self._partition_path(day).unlink()
+        else:
+            final = self._partition_path(day)
+            # The temp name must end in .npz or numpy appends the suffix.
+            temp = final.with_suffix(".tmp.npz")
+            write_npz(seal.table(i), temp)
+            checksum = file_sha256(temp)
+            os.replace(temp, final)
+            if self._partition_dir(day).exists():
+                shutil.rmtree(self._partition_dir(day))
+        entry: Dict[str, object] = {
+            "flows": seal.rows(i),
+            "bytes": seal.total_bytes(i),
+            "sha256": checksum,
+        }
+        if fmt != FORMAT_V1:
+            entry["format"] = fmt
+        key = day.isoformat()
+        self._manifest[key] = entry
+        self._changed(key)
 
     def delete_day(self, day: _dt.date) -> None:
         """Remove a day's partition; missing days are a no-op."""
@@ -360,7 +380,7 @@ class FlowStore:
         if directory.exists():
             shutil.rmtree(directory)
         del self._manifest[key]
-        self._invalidate(key)
+        self._changed(key)
         self._save_manifest()
 
     def migrate(self, to_format: int = FORMAT_V2) -> int:

@@ -36,7 +36,9 @@ import os
 import pickle
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    Future, ProcessPoolExecutor, ThreadPoolExecutor, wait,
+)
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -58,6 +60,10 @@ START_ENV = "REPRO_PROCPOOL_START"
 #: deliberately absent: re-importing the world per worker costs more
 #: than the thread fallback saves on the platforms that require it.
 _START_METHODS = ("fork", "forkserver")
+
+#: Longest :meth:`ScanPool.close` waits for the futures of terminated
+#: workers to be marked failed.
+_ABANDON_WAIT_S = 5.0
 
 
 def enabled() -> bool:
@@ -296,14 +302,17 @@ class ScanPool:
         Pending futures are cancelled; in-flight scans get ``grace``
         seconds to finish, after which worker processes are terminated
         outright — a scan sleeping past its query's deadline must not
-        leave zombie workers behind.  Thread workers cannot be killed,
-        but their results are discarded and the executor stops
-        accepting work.  Idempotent.
+        leave zombie workers behind.  A process pool returns once every
+        future it abandoned is done (cancelled, or failed as its worker
+        died), waiting at most :data:`_ABANDON_WAIT_S` for that.  Thread
+        workers cannot be killed, but their results are discarded and
+        the executor stops accepting work.  Idempotent.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+            abandoned = list(self._outstanding)
         # Snapshot worker handles before shutdown clears them.
         workers = list(
             (getattr(self._executor, "_processes", None) or {}).values()
@@ -318,6 +327,9 @@ class ScanPool:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(1.0)
+        # The executor's manager thread fails the futures of terminated
+        # workers asynchronously; let it finish before returning.
+        wait(abandoned, timeout=_ABANDON_WAIT_S)
 
     def __enter__(self) -> "ScanPool":
         return self

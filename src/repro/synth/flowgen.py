@@ -21,7 +21,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,7 +29,7 @@ import repro.obs as obs
 from repro.flows.record import PROTO_ESP, PROTO_GRE, PROTO_ICMP
 from repro.flows.table import FlowTable
 from repro.netbase.asdb import ASCategory, ASRegistry
-from repro.netbase.prefixes import PrefixMap, random_addresses_in
+from repro.netbase.prefixes import PrefixMap
 from repro.series import HourlySeries
 from repro.synth.profiles import (
     AppProfile,
@@ -55,22 +55,38 @@ BYTES_PER_UNIT = 1_000_000
 _BYTES_PER_PACKET = 900.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _PoolSpec:
-    """Resolved AS pool: who sends/receives and how addresses are drawn."""
+    """Resolved AS pool: who sends/receives and how addresses are drawn.
+
+    Built once per pool.  The AS draw picks members (``asns`` entries)
+    by their cumulative probabilities ``cdf``.  The address table holds,
+    per distinct pool ASN in ascending order (``table_asns``), a slice
+    ``values[offsets[g]:offsets[g] + bounds[g]]``: a client AS's prefix
+    bases (``high16 << 16``), or a server AS's stable address pool.  A
+    bound of 0 marks an AS without prefixes.  ``groups`` maps each
+    member to its table slot, in the smallest unsigned dtype so that a
+    stable argsort of it is a radix sort.  Gateway pools draw from
+    ``values`` directly.
+    """
 
     kind: str  # "client" | "server" | "gateway"
-    asns: Tuple[int, ...]
-    weights: Tuple[float, ...]
-    # gateway pools carry explicit addresses instead
-    addresses: Tuple[int, ...] = ()
+    asns: np.ndarray
+    cdf: np.ndarray
+    groups: np.ndarray
+    table_asns: np.ndarray
+    offsets: np.ndarray
+    bounds: np.ndarray
+    values: np.ndarray
 
 
 class FlowSampler:
     """Samples flow tables for application profiles.
 
-    One sampler per vantage point; it owns the resolved AS pools and a
-    deterministic RNG stream.
+    One sampler per vantage point and stream; it owns a deterministic
+    RNG stream.  Resolved AS pools depend only on the constructor's
+    registry, prefix map and AS lists, so samplers of one vantage pass
+    the same ``pools`` dict to share them.
     """
 
     def __init__(
@@ -81,6 +97,7 @@ class FlowSampler:
         seed: int,
         vpn_gateway_ips: Sequence[int] = (),
         edu_internal_asns: Sequence[int] = (),
+        pools: Optional[Dict[object, _PoolSpec]] = None,
     ):
         if not local_eyeball_asns:
             raise ValueError("a vantage needs at least one local eyeball AS")
@@ -90,7 +107,7 @@ class FlowSampler:
         self._vpn_gateway_ips = tuple(vpn_gateway_ips)
         self._edu_internal = tuple(edu_internal_asns)
         self._rng = np.random.default_rng(seed)
-        self._pool_cache: Dict[object, _PoolSpec] = {}
+        self._pool_cache = {} if pools is None else pools
 
     # -- pool resolution ------------------------------------------------------
 
@@ -109,41 +126,26 @@ class FlowSampler:
         if cached is not None:
             return cached
         if pool == POOL_EYEBALL_LOCAL:
-            spec = _PoolSpec(
-                "client",
-                self._local_eyeballs,
-                tuple(1.0 for _ in self._local_eyeballs),
-            )
+            spec = self._build_pool("client", self._local_eyeballs)
         elif pool == POOL_VPN_GATEWAYS:
             if not self._vpn_gateway_ips:
                 raise ValueError(
                     "vantage has no VPN gateway addresses configured"
                 )
-            spec = _PoolSpec("gateway", (), (), self._vpn_gateway_ips)
-        elif pool == POOL_EDU_INTERNAL:
+            spec = self._build_pool(
+                "gateway", (), addresses=self._vpn_gateway_ips)
+        elif pool in (POOL_EDU_INTERNAL, POOL_EDU_CLIENTS):
             if not self._edu_internal:
                 raise ValueError("vantage has no EDU-internal ASes")
-            spec = _PoolSpec(
-                "server",
-                self._edu_internal,
-                tuple(1.0 for _ in self._edu_internal),
-            )
-        elif pool == POOL_EDU_CLIENTS:
-            if not self._edu_internal:
-                raise ValueError("vantage has no EDU-internal ASes")
-            spec = _PoolSpec(
-                "client",
-                self._edu_internal,
-                tuple(1.0 for _ in self._edu_internal),
-            )
+            kind = "server" if pool == POOL_EDU_INTERNAL else "client"
+            spec = self._build_pool(kind, self._edu_internal)
         elif pool == POOL_ANY:
-            asns = tuple(self._registry.all_asns())
-            spec = _PoolSpec("server", asns, tuple(1.0 for _ in asns))
+            spec = self._build_pool("server", self._registry.all_asns())
         elif isinstance(pool, ASCategory):
             asns, weights = self._category_asns(pool)
             kind = "client" if pool in (
                 ASCategory.EYEBALL, ASCategory.MOBILE) else "server"
-            spec = _PoolSpec(kind, asns, weights)
+            spec = self._build_pool(kind, asns, weights)
         else:
             asns = tuple(int(a) for a in pool)
             if not asns:
@@ -152,55 +154,116 @@ class FlowSampler:
                 self._registry.get(a).weight if self._registry.get(a) else 1.0
                 for a in asns
             )
-            spec = _PoolSpec("server", asns, weights)
+            spec = self._build_pool("server", asns, weights)
         self._pool_cache[key] = spec
         return spec
 
-    def _server_pool_for(self, asn: int) -> np.ndarray:
+    def _build_pool(
+        self,
+        kind: str,
+        asns: Sequence[int],
+        weights: Optional[Sequence[float]] = None,
+        addresses: Sequence[int] = (),
+    ) -> _PoolSpec:
+        """Resolve one pool; ``weights`` default to equal."""
+        asns = np.asarray(asns, dtype=np.int64)
+        table_asns = np.unique(asns)
+        slices = [self._address_slice(kind, int(asn)) for asn in table_asns]
+        bounds = np.array([len(s) for s in slices], dtype=np.int64)
+        weights = (np.ones(len(asns)) if weights is None
+                   else np.asarray(weights, dtype=np.float64))
+        # The CDF ``Generator.choice(p=weights / weights.sum())`` builds.
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1:]
+        return _PoolSpec(
+            kind=kind,
+            asns=asns,
+            cdf=cdf,
+            groups=np.searchsorted(table_asns, asns).astype(
+                np.min_scalar_type(len(table_asns))),
+            table_asns=table_asns,
+            offsets=np.cumsum(bounds) - bounds,
+            bounds=bounds,
+            values=np.concatenate(
+                [np.asarray(addresses, dtype=np.uint32), *slices]),
+        )
+
+    def _address_slice(self, kind: str, asn: int) -> np.ndarray:
+        """One AS's address-table slice (empty if it has no prefixes)."""
+        prefixes = self._prefix_map.prefixes_of(asn)
+        if not prefixes:
+            return np.zeros(0, dtype=np.uint32)
+        if kind == "client":
+            highs = np.array([p.high16 for p in prefixes], dtype=np.uint32)
+            return highs << np.uint32(16)
         info = self._registry.get(asn)
         weight = info.weight if info else 1.0
         return self._prefix_map.server_pool(asn, 4 + int(weight * 4))
 
     # -- address drawing ------------------------------------------------------
 
-    def _draw_asns(self, spec: _PoolSpec, count: int) -> np.ndarray:
-        weights = np.asarray(spec.weights, dtype=np.float64)
-        probs = weights / weights.sum()
-        idx = self._rng.choice(len(spec.asns), size=count, p=probs)
-        return np.asarray(spec.asns, dtype=np.int64)[idx]
+    def _draw_members(self, spec: _PoolSpec, count: int) -> np.ndarray:
+        """Indices into ``spec.asns`` of ``count`` weighted AS draws.
+
+        Gateway pools have no members and draw nothing here.
+        """
+        if spec.kind == "gateway":
+            return np.zeros(count, dtype=np.intp)
+        # What ``choice(len(asns), count, p=probs)`` draws, without
+        # re-validating ``probs`` and rebuilding the CDF on every call.
+        return spec.cdf.searchsorted(self._rng.random(count), side="right")
 
     def _draw_addresses(
-        self, spec: _PoolSpec, asns: np.ndarray, count: int
+        self, spec: _PoolSpec, members: np.ndarray
     ) -> np.ndarray:
+        """One address per drawn member (``_draw_members``'s indices)."""
+        count = len(members)
         if spec.kind == "gateway":
-            addresses = np.asarray(spec.addresses, dtype=np.uint32)
-            idx = self._rng.integers(0, len(addresses), size=count)
-            return addresses[idx]
+            idx = self._rng.integers(0, len(spec.values), size=count)
+            return spec.values[idx]
+        # One bounded-integer call draws what a per-AS loop drew: for
+        # each AS in ascending ASN order, a client AS's n prefix picks
+        # in [0, k) and then n hosts in [1, 0xFFFF), a server AS's n
+        # picks in [0, pool size).  numpy draws every bound that fits
+        # in 32 bits with ``next_uint32`` plus Lemire rejection, for
+        # scalar and array bounds alike (a bound of 1 draws nothing),
+        # so the values and the generator state match draw for draw.
+        group = spec.groups[members]
+        order = np.argsort(group, kind="stable")
+        group = group[order]
+        sizes = np.bincount(group, minlength=len(spec.table_asns))
+        missing = (sizes > 0) & (spec.bounds == 0)
+        if missing.any():
+            raise ValueError(
+                f"AS {int(spec.table_asns[missing][0])} has no "
+                "allocated prefixes"
+            )
+        bound = spec.bounds[group]
+        base = spec.offsets[group]
         result = np.empty(count, dtype=np.uint32)
-        if count == 0:
+        if spec.kind == "server":
+            result[order] = spec.values[base + self._rng.integers(0, bound)]
             return result
-        # One argsort groups the rows by AS; each AS's rows are then a
-        # contiguous segment of ``order``, replacing the per-AS
-        # full-length boolean masks (O(ASes × rows)) with a single
-        # grouped pass.  Segments ascend by ASN, exactly like the
-        # ``np.unique`` iteration this replaces, so the RNG stream —
-        # and therefore every generated table — is unchanged.
-        order = np.argsort(asns, kind="stable")
-        sorted_asns = asns[order]
-        boundaries = np.flatnonzero(sorted_asns[1:] != sorted_asns[:-1]) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [count]))
-        for start, stop in zip(starts, stops):
-            asn = int(sorted_asns[start])
-            rows = order[start:stop]
-            n = stop - start
-            if spec.kind == "client":
-                prefixes = self._prefix_map.prefixes_of(asn)
-                result[rows] = random_addresses_in(prefixes, n, self._rng)
-            else:
-                pool = self._server_pool_for(asn)
-                result[rows] = pool[self._rng.integers(0, len(pool), size=n)]
+        # Sorted row i of an AS whose rows start at s and number n has
+        # its prefix pick at s + i and its host at s + n + i.
+        pick_at = (np.cumsum(sizes) - sizes)[group] + np.arange(count)
+        host_at = pick_at + sizes[group]
+        low = np.zeros(2 * count, dtype=np.int64)
+        high = np.empty(2 * count, dtype=np.int64)
+        high[pick_at] = bound
+        low[host_at] = 1
+        high[host_at] = 0xFFFF
+        draws = self._rng.integers(low, high)
+        result[order] = (spec.values[base + draws[pick_at]]
+                         | draws[host_at].astype(np.uint32))
         return result
+
+    def _asns_of(self, spec: _PoolSpec, members: np.ndarray,
+                 addresses: np.ndarray) -> np.ndarray:
+        """The ASN behind each drawn address."""
+        if spec.kind == "gateway":
+            return self._prefix_map.asn_for_many(addresses).astype(np.int64)
+        return spec.asns[members]
 
     # -- sampling ---------------------------------------------------------------
 
@@ -270,22 +333,12 @@ class FlowSampler:
 
         src_spec = self._resolve_pool(template.src_pool)
         dst_spec = self._resolve_pool(template.dst_pool)
-        src_asns = (
-            np.zeros(total, dtype=np.int64)
-            if src_spec.kind == "gateway"
-            else self._draw_asns(src_spec, total)
-        )
-        dst_asns = (
-            np.zeros(total, dtype=np.int64)
-            if dst_spec.kind == "gateway"
-            else self._draw_asns(dst_spec, total)
-        )
-        src_ips = self._draw_addresses(src_spec, src_asns, total)
-        dst_ips = self._draw_addresses(dst_spec, dst_asns, total)
-        if src_spec.kind == "gateway":
-            src_asns = self._prefix_map.asn_for_many(src_ips).astype(np.int64)
-        if dst_spec.kind == "gateway":
-            dst_asns = self._prefix_map.asn_for_many(dst_ips).astype(np.int64)
+        src_members = self._draw_members(src_spec, total)
+        dst_members = self._draw_members(dst_spec, total)
+        src_ips = self._draw_addresses(src_spec, src_members)
+        dst_ips = self._draw_addresses(dst_spec, dst_members)
+        src_asns = self._asns_of(src_spec, src_members, src_ips)
+        dst_asns = self._asns_of(dst_spec, dst_members, dst_ips)
 
         ports = np.asarray([p for p, _ in template.dst_ports], dtype=np.int32)
         port_weights = np.asarray(

@@ -104,6 +104,8 @@ class VantagePoint:
         self._hour_noise_sigma = hour_noise_sigma
         self._day_noise_sigma = day_noise_sigma
         self._noise_cache: Dict[str, np.ndarray] = {}
+        #: Resolved AS pools shared by this vantage's flow samplers.
+        self._pools: Dict[object, object] = {}
 
     # -- intensity model -------------------------------------------------------
 
@@ -238,6 +240,7 @@ class VantagePoint:
             seed=_stable_hash(self.seed, self.name, "flows", stream),
             vpn_gateway_ips=self._vpn_gateway_ips,
             edu_internal_asns=self._edu_internal,
+            pools=self._pools,
         )
 
     def generate_flows(

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import datetime as _dt
 import enum
+import functools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: Ordered pandemic phases every region timeline steps through.
 PHASES = ("pre", "outbreak", "response", "lockdown", "relaxation", "reopening")
@@ -284,11 +285,18 @@ def iso_week(day: _dt.date) -> int:
 
 def iso_week_dates(week: int) -> List[_dt.date]:
     """Days of 2020 ISO calendar week ``week`` within the study period."""
-    return [
-        d
-        for d in iter_days()
-        if d.isocalendar()[0] == 2020 and d.isocalendar()[1] == week
-    ]
+    return list(_iso_weeks().get(week, ()))
+
+
+@functools.lru_cache(maxsize=None)
+def _iso_weeks() -> Dict[int, Tuple[_dt.date, ...]]:
+    """Study days by 2020 ISO week, built on first use."""
+    weeks: Dict[int, List[_dt.date]] = {}
+    for day in iter_days():
+        year, week, _ = day.isocalendar()
+        if year == 2020:
+            weeks.setdefault(week, []).append(day)
+    return {week: tuple(days) for week, days in weeks.items()}
 
 
 def iter_days(

@@ -111,6 +111,29 @@ class TestDictMatchesUnique:
         assert meta["counts"] == [int(c) for c in counts]
 
 
+class TestSegmentUnique:
+    """One call gives every segment's ``_unique``, exactly."""
+
+    @pytest.mark.parametrize("array", DICT_CASES + [
+        np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
+        np.array([-2**63, 2**63 - 1, 0, -2**63], dtype=np.int64),
+    ])
+    def test_matches_unique_per_segment(self, array):
+        rng = np.random.default_rng(array.size)
+        cuts = np.sort(rng.integers(0, array.size + 1, size=3))
+        bounds = np.concatenate(([0], cuts, cuts[-1:], [array.size]))
+        values, codes, counts, value_bounds = enc.segment_unique(
+            array, bounds)
+        for i in range(len(bounds) - 1):
+            want = enc._unique(array[bounds[i]:bounds[i + 1]])
+            got = (values[value_bounds[i]:value_bounds[i + 1]],
+                   codes[bounds[i]:bounds[i + 1]],
+                   counts[value_bounds[i]:value_bounds[i + 1]])
+            assert got[0].dtype == want[0].dtype
+            for part, expected in zip(got, want):
+                np.testing.assert_array_equal(part, expected)
+
+
 class TestDeltaEncoding:
     def test_sorted_hours_pack_tight(self):
         hours = np.repeat(np.arange(24, dtype=np.int64), 40)

@@ -9,9 +9,17 @@ import threading
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro import timebase
 from repro.core.streaming import StreamingAggregator
-from repro.flows.store import FORMAT_V1, FlowStore, FlowStoreError
+from repro.flows import colstore
+from repro.flows.store import (
+    FORMAT_V1,
+    FORMAT_V2,
+    FORMAT_V3,
+    FlowStore,
+    FlowStoreError,
+)
 from repro.flows.table import COLUMNS, FlowTable
 
 
@@ -260,6 +268,97 @@ class TestWriteRangeSplit:
             assert store.day_flows(day) == 0
             assert len(store.read_day(day)) == 0
         assert store.total_flows() == len(shuffled)
+
+
+def _store_files(store: FlowStore) -> dict:
+    """Every file under the store, by relative path, as bytes."""
+    return {
+        str(path.relative_to(store.root)): path.read_bytes()
+        for path in sorted(store.root.rglob("*")) if path.is_file()
+    }
+
+
+class TestWriteRangeOnePass:
+    """``write_range`` does its range-wide work once per call."""
+
+    DAYS = (dt.date(2020, 2, 17), dt.date(2020, 2, 23))
+
+    @pytest.fixture(scope="class")
+    def shuffled(self, three_day_flows):
+        order = np.random.default_rng(11).permutation(len(three_day_flows))
+        return three_day_flows.take(order)
+
+    @pytest.mark.parametrize("fmt", [FORMAT_V2, FORMAT_V3])
+    def test_matches_per_day_writes_byte_for_byte(
+        self, tmp_path, shuffled, fmt
+    ):
+        ranged = FlowStore(tmp_path / "ranged", default_format=fmt)
+        ranged.write_range(shuffled, *self.DAYS)
+        daily = FlowStore(tmp_path / "daily", default_format=fmt)
+        hours = shuffled.column("hour")
+        for day in timebase.iter_days(*self.DAYS):
+            start = timebase.hour_index(day, 0)
+            daily.write_day(
+                day, shuffled.filter((hours >= start) & (hours < start + 24))
+            )
+        # The range has empty days on both ends.
+        assert ranged.day_flows(self.DAYS[0]) == 0
+        assert ranged.day_flows(self.DAYS[1]) == 0
+        assert _store_files(ranged) == _store_files(daily)
+        assert ranged.state_token() == daily.state_token()
+
+    def test_one_manifest_write_per_call(self, store, shuffled):
+        obs.configure(telemetry=True)
+        try:
+            store.write_range(shuffled, *self.DAYS)
+            store.write_day(dt.date(2020, 2, 19), FlowTable.empty())
+            counters = obs.get_registry().snapshot()["counters"]
+        finally:
+            obs.reset()
+        assert counters["store.manifest-writes"] == 2
+        assert counters["colstore.partitions-written"] == 8
+
+    def test_failed_day_keeps_earlier_days(
+        self, store, shuffled, monkeypatch
+    ):
+        real_write = colstore.RangeSeal.write
+
+        def write(seal, i, final_dir, fmt):
+            if i == 3:
+                raise OSError("disk full")
+            return real_write(seal, i, final_dir, fmt)
+
+        monkeypatch.setattr(colstore.RangeSeal, "write", write)
+        with pytest.raises(OSError, match="disk full"):
+            store.write_range(shuffled, *self.DAYS)
+        written = list(timebase.iter_days(self.DAYS[0], dt.date(2020, 2, 19)))
+        reopened = FlowStore(store.root)
+        assert reopened.days() == written == store.days()
+        hours = shuffled.column("hour")
+        for day in written:
+            start = timebase.hour_index(day, 0)
+            mask = (hours >= start) & (hours < start + 24)
+            assert reopened.read_day(day) == shuffled.filter(mask)
+        assert reopened.state_token() == store.state_token()
+
+    def test_state_token_tracks_each_day(self, store, shuffled, monkeypatch):
+        before = store.state_token()
+        seen = []
+        real_write = colstore.RangeSeal.write
+
+        def write(seal, i, final_dir, fmt):
+            # Memoize the token as each day starts; the day before it
+            # has just been listed, so no two may be equal.
+            seen.append(store.state_token())
+            return real_write(seal, i, final_dir, fmt)
+
+        monkeypatch.setattr(colstore.RangeSeal, "write", write)
+        store.write_range(shuffled, *self.DAYS)
+        assert seen[0] == before
+        assert len(set(seen)) == len(seen) == 7
+        token = store.state_token()
+        assert token not in seen
+        assert token == _fresh_token(store)
 
 
 class TestIntegrity:

@@ -4,11 +4,13 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import timebase
 from repro.flows.record import PROTO_GRE, PROTO_TCP, PROTO_UDP
 from repro.netbase.asdb import ASCategory, build_default_registry
-from repro.netbase.prefixes import PrefixAllocator
+from repro.netbase.prefixes import PrefixAllocator, random_addresses_in
 from repro.series import HourlySeries
 from repro.synth.flowgen import (
     BYTES_PER_UNIT,
@@ -20,6 +22,8 @@ from repro.synth.profiles import (
     AppProfile,
     FlowTemplate,
     LockdownResponse,
+    POOL_EDU_CLIENTS,
+    POOL_EDU_INTERNAL,
     POOL_EYEBALL_LOCAL,
     POOL_VPN_GATEWAYS,
 )
@@ -220,3 +224,122 @@ class TestVantagePointSampler:
         a = make_sampler(world, seed=9).sample_profile(profile, volumes())
         b = make_sampler(world, seed=9).sample_profile(profile, volumes())
         assert a == b
+
+
+#: EDU-internal ASes mixing single-prefix ASes (210002, 210010) with
+#: multi-prefix ones, drawn as clients (POOL_EDU_CLIENTS) or servers
+#: (POOL_EDU_INTERNAL).
+MIXED_ASNS = (210002, 3320, 210010, 230001)
+
+#: Pools covering every address-draw shape: clients (with single-prefix
+#: ASes, whose bound of 1 draws nothing), servers, an explicit pool
+#: with repeated ASNs, and VPN gateways.
+DRAW_POOLS = (
+    POOL_EDU_CLIENTS,
+    ASCategory.EYEBALL,
+    POOL_EDU_INTERNAL,
+    ASCategory.HYPERGIANT,
+    (210002, 15169, 210002, 3320, 15169),
+    POOL_VPN_GATEWAYS,
+)
+
+
+def loop_draw_addresses(registry, prefix_map, spec, asns, count, rng):
+    """Reference: the per-AS address loop the batched draw replaced."""
+    if spec.kind == "gateway":
+        return spec.values[rng.integers(0, len(spec.values), size=count)]
+    result = np.empty(count, dtype=np.uint32)
+    if count == 0:
+        return result
+    order = np.argsort(asns, kind="stable")
+    sorted_asns = asns[order]
+    boundaries = np.flatnonzero(sorted_asns[1:] != sorted_asns[:-1]) + 1
+    starts = np.concatenate(([0], boundaries))
+    stops = np.concatenate((boundaries, [count]))
+    for start, stop in zip(starts, stops):
+        asn = int(sorted_asns[start])
+        rows = order[start:stop]
+        n = stop - start
+        if spec.kind == "client":
+            prefixes = prefix_map.prefixes_of(asn)
+            result[rows] = random_addresses_in(prefixes, n, rng)
+        else:
+            info = registry.get(asn)
+            weight = info.weight if info else 1.0
+            pool = prefix_map.server_pool(asn, 4 + int(weight * 4))
+            result[rows] = pool[rng.integers(0, len(pool), size=n)]
+    return result
+
+
+class TestBatchedAddressDraws:
+    """One bounded-integer call per side draws what the per-AS loop drew."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pool=st.sampled_from(DRAW_POOLS),
+        count=st.one_of(st.sampled_from((0, 1)), st.integers(0, 400)),
+        seed=st.integers(0, 2**32 - 1),
+        lead=st.integers(0, 3),
+    )
+    def test_matches_per_as_loop(self, world, pool, count, seed, lead):
+        registry, prefix_map = world
+        gateways = tuple(
+            int(a)
+            for a in prefix_map.prefixes_of(210001)[0].network.hosts()
+        )[:5]
+        batched, looped = (
+            FlowSampler(registry, prefix_map, [3320], seed=seed,
+                        vpn_gateway_ips=gateways,
+                        edu_internal_asns=MIXED_ASNS)
+            for _ in range(2)
+        )
+        spec = batched._resolve_pool(pool)
+        if spec.kind == "gateway":
+            members = asns = np.zeros(count, dtype=np.intp)
+        else:
+            members = np.random.default_rng(seed).integers(
+                0, len(spec.asns), size=count)
+            asns = spec.asns[members]
+        # Odd 32-bit draws first leave PCG64 holding half a word.
+        for sampler in (batched, looped):
+            sampler._rng.integers(0, 1000, size=lead, dtype=np.uint32)
+        got = batched._draw_addresses(spec, members)
+        want = loop_draw_addresses(
+            registry, prefix_map, spec, asns, count, looped._rng)
+        assert got.dtype == want.dtype == np.uint32
+        np.testing.assert_array_equal(got, want)
+        assert (batched._rng.bit_generator.state
+                == looped._rng.bit_generator.state)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        pool=st.sampled_from(DRAW_POOLS[:-1]),
+        count=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_member_draw_matches_weighted_choice(
+        self, world, pool, count, seed
+    ):
+        registry, prefix_map = world
+        sampler = FlowSampler(registry, prefix_map, [3320], seed=seed,
+                              edu_internal_asns=MIXED_ASNS)
+        spec = sampler._resolve_pool(pool)
+        if pool in (POOL_EDU_CLIENTS, POOL_EDU_INTERNAL):
+            weights = np.ones(len(MIXED_ASNS))
+        else:
+            weights = np.array([registry.get(int(a)).weight
+                                for a in spec.asns])
+        rng = np.random.default_rng(seed)
+        want = rng.choice(len(spec.asns), size=count,
+                          p=weights / weights.sum())
+        np.testing.assert_array_equal(
+            sampler._draw_members(spec, count), want)
+        assert sampler._rng.bit_generator.state == rng.bit_generator.state
+
+    def test_as_without_prefixes_raises(self, world):
+        registry, prefix_map = world
+        sampler = make_sampler(world)
+        spec = sampler._resolve_pool((15169, 4_000_000_000))
+        sampler._draw_addresses(spec, np.array([0, 0]))
+        with pytest.raises(ValueError, match="AS 4000000000 has no"):
+            sampler._draw_addresses(spec, np.array([0, 1]))
