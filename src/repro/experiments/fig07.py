@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro import timebase
 from repro.core import ports
 from repro.experiments.base import ExperimentResult, PipelineConfig, register
-from repro.flows.store import FlowStore
-from repro.flows.table import FlowTable, transport_label
-from repro.query import QueryService, QuerySpec
+from repro.flows.table import FlowTable
 from repro.report import figures as figrender
 from repro.synth import datasets
 from repro.synth.datasets import DatasetRequest
@@ -45,40 +43,6 @@ def _datasets(scenario: Scenario,
     )
 
 
-def _query_port_mix(
-    scenario: Scenario, name: str, requests: List[DatasetRequest],
-    tables: List[FlowTable],
-) -> Tuple[Dict[str, int], int]:
-    """The vantage's port-mix table served through the query subsystem.
-
-    Each analysis week is sealed into one day-partitioned store (the
-    weeks are disjoint, so the store has gaps the planner must skip),
-    once per dataset cache, and a fresh service runs a single
-    ``group_by=("transport",)`` query across the whole span.  Returns
-    (bytes per PROTO/port label, failed partitions).
-    """
-
-    def build(store: FlowStore) -> None:
-        for request, table in zip(requests, tables):
-            store.write_range(table, request.start, request.end)
-
-    key = ("fig07/port-mix", name, *requests)
-    with datasets.sealed_store(scenario, key, build) as store:
-        spec = QuerySpec.build(
-            name,
-            min(request.start for request in requests),
-            max(request.end for request in requests),
-            group_by=["transport"], aggregates=["bytes"],
-        )
-        with QueryService({name: store}, workers=2) as service:
-            outcome = service.run(spec, timeout=300.0)
-    mix: Dict[str, int] = {}
-    for row in outcome.rows:
-        label = transport_label(int(row["transport"]))
-        mix[label] = mix.get(label, 0) + int(row["bytes"])
-    return mix, outcome.n_failed
-
-
 @register("fig07", "Top application ports by hour", "Fig. 7",
           datasets=_datasets)
 def run_fig07(scenario: Scenario,
@@ -87,21 +51,11 @@ def run_fig07(scenario: Scenario,
     config = config or PipelineConfig()
     result = ExperimentResult("fig07", "Top application ports by hour")
     all_patterns = {}
-    query_parity = True
-    query_failed_partitions = 0
     for name, weeks in WEEKS.items():
         vantage = scenario.vantage(name)
-        requests = _week_requests(config, name)
-        tables = datasets.fetch_many(scenario, requests)
-        flows = FlowTable.concat(tables)
-        # Port-mix table through the query subsystem: the engine's
-        # grouped byte sums are exact, so they must equal the batch
-        # table bit-for-bit.
-        engine_mix, n_failed = _query_port_mix(
-            scenario, name, requests, tables
+        flows = FlowTable.concat(
+            datasets.fetch_many(scenario, _week_requests(config, name))
         )
-        query_parity &= engine_mix == flows.bytes_by_transport_key()
-        query_failed_partitions += n_failed
         region = vantage.region
         growth = ports.port_growth(
             flows, weeks["february"], weeks["april"], region,
@@ -118,12 +72,6 @@ def run_fig07(scenario: Scenario,
         result.metrics[f"{name}/udp4500-weekend"] = nat.weekend_growth
         alt = growth.get("TCP/8080", _ABSENT)
         result.metrics[f"{name}/tcp8080-growth"] = alt.workday_growth
-    result.checks["query engine: port mix matches batch exactly"] = (
-        query_parity
-    )
-    result.checks["query engine: no failed partitions"] = (
-        query_failed_partitions == 0
-    )
     isp_pattern, isp_growth = all_patterns["isp-ce"]
     ixp_pattern, ixp_growth = all_patterns["ixp-ce"]
     result.checks["QUIC grows 30-80% at the ISP"] = (
@@ -144,13 +92,10 @@ def run_fig07(scenario: Scenario,
         abs(result.metrics["isp-ce/tcp8080-growth"]) < 0.2
         and abs(result.metrics["ixp-ce/tcp8080-growth"]) < 0.2
     )
-    gre = ixp_growth.get("GRE")
-    esp = ixp_growth.get("ESP")
-    tunnels_down = [
-        g.workday_growth < 0.0 for g in (gre, esp) if g is not None
-    ]
+    gre = ixp_growth.get("GRE", _ABSENT)
+    esp = ixp_growth.get("ESP", _ABSENT)
     result.checks["GRE/ESP decrease at the IXP-CE"] = (
-        bool(tunnels_down) and all(tunnels_down)
+        gre.workday_growth < 0.0 and esp.workday_growth < 0.0
     )
     gre_isp = isp_growth.get("GRE", _ABSENT)
     result.metrics["isp-ce/gre-growth"] = gre_isp.workday_growth

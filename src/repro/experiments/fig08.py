@@ -7,12 +7,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro import timebase
 from repro.core import anomaly, appclass
 from repro.experiments.base import ExperimentResult, PipelineConfig, register
-from repro.flows.store import FlowStore
-from repro.flows.table import FlowTable
-from repro.query import QueryService, QuerySpec
 from repro.report import figures as figrender
 from repro.synth import datasets
 from repro.synth.datasets import DatasetRequest
@@ -21,44 +17,6 @@ from repro.synth.scenario import Scenario
 #: Gaming observation window: week 7 through week 17.
 START = _dt.date(2020, 2, 10)
 END = _dt.date(2020, 4, 26)
-
-#: Mean |relative error| allowed between the engine's HLL distinct-IP
-#: series and the exact batch series (the sketch's documented relative
-#: standard error is ~1.6% at the default precision; 5% leaves head
-#: room for low-count hours without masking real disagreement).
-HLL_SERIES_TOLERANCE = 0.05
-
-
-def _query_engine_series(
-    scenario: Scenario, gaming_request: DatasetRequest,
-    selected: FlowTable, start: int, stop: int,
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Fig 8's hourly series served through the query subsystem.
-
-    The class-selected flows are sealed into a day-partitioned
-    :class:`FlowStore`, once per dataset cache, and a fresh
-    :class:`QueryService` runs one ``bucket="hour"`` query over it —
-    the same filter→group→aggregate the batch path computes in
-    process.  Returns (hourly bytes, hourly distinct destination IPs,
-    failed partition count).
-    """
-
-    def build(store: FlowStore) -> None:
-        store.write_range(selected, START, END)
-
-    key = ("fig08/gaming-class", gaming_request)
-    with datasets.sealed_store(scenario, key, build) as store:
-        spec = QuerySpec.build(
-            "ixp-se", START, END,
-            aggregates=["bytes", "distinct_dst_ips"], bucket="hour",
-        )
-        with QueryService({"ixp-se": store}, workers=2) as service:
-            outcome = service.run(spec, timeout=300.0)
-    return (
-        outcome.hourly("bytes", start, stop),
-        outcome.hourly("distinct_dst_ips", start, stop),
-        outcome.n_failed,
-    )
 
 
 def _datasets(scenario: Scenario,
@@ -83,36 +41,7 @@ def run_fig08(scenario: Scenario,
     flows = datasets.fetch(scenario, gaming_request)
     gaming_class = appclass.standard_classes()["gaming"]
     activity = appclass.class_activity(flows, gaming_class, START, END)
-    # The same series served through the query subsystem: the engine's
-    # exact aggregates must match the batch path bit-for-bit, and its
-    # HLL distinct-IP estimate must sit within the documented sketch
-    # error of the exact per-hour counts.
-    selected = gaming_class.select(flows)
-    start = timebase.hour_index(START, 0)
-    stop = timebase.hour_index(END, 23) + 1
-    engine_volume, engine_ips, failed_partitions = _query_engine_series(
-        scenario, gaming_request, selected, start, stop
-    )
-    batch_volume = selected.hourly_bytes(start, stop)
-    exact_ips = selected.unique_ips_per_hour(start, stop, side="dst")
-    active = exact_ips > 0
-    if np.any(active):
-        ip_errors = np.abs(
-            engine_ips[active] / exact_ips[active] - 1.0
-        )
-        mean_ip_error = float(ip_errors.mean())
-    else:
-        mean_ip_error = 0.0
-    result.metrics["query-distinct-ip-mean-err"] = mean_ip_error
-    result.checks["query engine: hourly volume matches batch exactly"] = (
-        bool(np.array_equal(engine_volume, batch_volume))
-    )
-    result.checks["query engine: distinct-IP series within HLL error"] = (
-        mean_ip_error <= HLL_SERIES_TOLERANCE
-    )
-    result.checks["query engine: no failed partitions"] = (
-        failed_partitions == 0
-    )
+
     # Pre-lockdown (weeks 7-9) vs. lockdown (weeks 12-14) daily averages.
     def _avg(metric_index: int, lo: _dt.date, hi: _dt.date) -> float:
         values = [

@@ -30,15 +30,15 @@ weeks) skips flow generation entirely.  Disk writes are atomic
 truncated, or version-mismatched archive counts as a disk miss and is
 regenerated and rewritten in place.
 
-The memory tier also holds the query stores Figs 7/8 seal their
-datasets into (:meth:`DatasetCache.sealed_store`), once per cache.
+The cache holds datasets only.  The query engine's parity with the
+batch analyses of Figs 7/8 is a tier-1 test
+(``tests/test_figures_pass.py``), not a figures-pass check.
 
-Cache hits, misses, bypasses, resident bytes, sealed-store
-``store-{hits,misses}``, and the disk tier's
+Cache hits, misses, bypasses, resident bytes, and the disk tier's
 ``disk-{hits,misses,writes,bytes}`` flow into the :mod:`repro.obs`
 registry under ``dataset-cache.*``.  The cache is thread-safe:
-concurrent fetches (or seals) of the same key materialize once, which
-is what lets the parallel executor share it across workers.
+concurrent fetches of the same key materialize once, which is what
+lets the parallel executor share it across workers.
 """
 
 from __future__ import annotations
@@ -46,28 +46,18 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
-import multiprocessing
 import os
-import shutil
-import tempfile
 import threading
-import weakref
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING, Callable, ContextManager, Dict, Iterable, Iterator,
-    Optional, Tuple, Union,
-)
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 import repro.obs as obs
 from repro import timebase
-
-if TYPE_CHECKING:
-    from repro.flows.store import FlowStore
 
 #: Extra request parameters as a hashable (name, value) tuple.
 Params = Tuple[Tuple[str, object], ...]
@@ -319,61 +309,12 @@ def _rebuild_from_arrays(kind: str, arrays: Dict[str, np.ndarray]):
     raise ValueError(f"unknown dataset kind {kind!r}")
 
 
-# -- sealed stores ------------------------------------------------------------
-
-#: What a sealed-store key may hold: dataset requests and literals, so
-#: equal keys on one scenario fingerprint always describe equal stores.
-_STORE_KEY_PARTS = (DatasetRequest, str, int, float, bool)
-
-
-def _check_store_key(key: tuple) -> None:
-    """Reject keys that could alias different store contents."""
-    if not isinstance(key, tuple) or not key or not isinstance(key[0], str):
-        raise TypeError(
-            "a sealed-store key is a tuple led by a label string"
-        )
-    bad = sorted({
-        type(part).__name__
-        for part in key if not isinstance(part, _STORE_KEY_PARTS)
-    })
-    if bad:
-        raise TypeError(
-            "sealed-store keys hold only DatasetRequests and literals, "
-            f"not {', '.join(bad)}"
-        )
-
-
-def _seal_store(directory: Path, key: tuple, build: Callable) -> FlowStore:
-    """Seal one store into ``directory`` under a ``sealed-store/`` span."""
-    from repro.flows.store import FlowStore
-
-    label = "/".join(part for part in key if isinstance(part, str))
-    with obs.span(f"sealed-store/{label}") as span:
-        store = FlowStore(directory)
-        build(store)
-        span.set_metric("flows", store.total_flows())
-        span.set_metric("partitions", len(store))
-    return store
-
-
-def _remove_store_root(root: str, pid: int) -> None:
-    """Delete a cache's sealed-store directory.
-
-    Only the creating process may: a forked worker collecting its copy
-    of the cache must not delete its parent's stores.
-    """
-    if os.getpid() == pid:
-        shutil.rmtree(root, ignore_errors=True)
-
-
 @dataclass
 class CacheStats:
     """Counters describing one cache's lifetime activity.
 
     ``hits`` and ``misses`` describe the memory tier (``misses`` counts
-    actual materializations).  ``store_hits``/``store_misses`` count
-    :meth:`DatasetCache.sealed_store` calls served by an already sealed
-    store and calls that sealed one.  The ``disk_*`` counters describe
+    actual materializations).  The ``disk_*`` counters describe
     the optional disk tier: a ``disk_hit`` serves a fetch from an
     archive without materializing; a ``disk_miss`` is a fetch that had
     to materialize despite a configured disk tier (absent, corrupt, or
@@ -385,8 +326,6 @@ class CacheStats:
     bypasses: int = 0
     entries: int = 0
     resident_bytes: int = 0
-    store_hits: int = 0
-    store_misses: int = 0
     disk_hits: int = 0
     disk_misses: int = 0
     disk_writes: int = 0
@@ -400,10 +339,6 @@ class CacheStats:
             "entries": self.entries,
             "resident_bytes": self.resident_bytes,
         }
-        if self.store_hits or self.store_misses:
-            base.update(
-                store_hits=self.store_hits, store_misses=self.store_misses
-            )
         if self.disk_hits or self.disk_misses or self.disk_writes:
             base.update(
                 disk_hits=self.disk_hits,
@@ -428,8 +363,7 @@ class DatasetCache:
     concurrent processes sharing the directory never observe a torn
     archive).  The disk tier only serves the enabled cache — a
     pass-through cache never touches it — and :meth:`clear` drops the
-    memory tier only.  Sealed stores (:meth:`sealed_store`) belong to
-    the memory tier; they have no disk tier.
+    memory tier only.
     """
 
     def __init__(
@@ -440,10 +374,6 @@ class DatasetCache:
         self._entries: Dict[tuple, object] = {}
         self._lock = threading.Lock()
         self._key_locks: Dict[tuple, threading.Lock] = {}
-        self._stores: Dict[tuple, FlowStore] = {}
-        self._store_root: Optional[Path] = None
-        self._store_finalizer: Optional[weakref.finalize] = None
-        self._store_serial = 0
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -593,92 +523,13 @@ class DatasetCache:
         """Fetch several requests in order."""
         return [self.fetch(scenario, request) for request in requests]
 
-    @contextmanager
-    def sealed_store(
-        self, scenario, key: tuple, build: Callable
-    ) -> Iterator[FlowStore]:
-        """A :class:`~repro.flows.store.FlowStore` sealed by ``build``.
-
-        ``key`` names the store's contents and may hold only
-        :class:`DatasetRequest` values and literals, led by a label
-        string — ``("fig07/port-mix", vantage, *week_requests)`` — so
-        equal keys on one scenario fingerprint describe equal stores.
-        ``build(store)`` writes the data into an empty store, under a
-        ``sealed-store/<label>`` span carrying ``flows``/``partitions``.
-
-        The enabled cache seals once per ``(scenario fingerprint,
-        key)`` and yields that store to every later call; concurrent
-        calls for one key seal once.  Stores live in one temporary
-        directory per cache until :meth:`clear` or the cache's garbage
-        collection; a build that raises memoizes nothing and leaves no
-        directory.  The pass-through cache (``enabled=False``) seals a
-        throwaway store per call and removes it when the block exits,
-        and so does a multiprocessing worker: workers leave through
-        ``os._exit``, which skips the finalizer's exit hook.
-
-        Callers must not write to a yielded store.
-        """
-        _check_store_key(key)
-        if self.enabled and multiprocessing.parent_process() is None:
-            yield self._memoized_store(scenario, key, build)
-            return
-        directory = Path(tempfile.mkdtemp(prefix="sealed-store-"))
-        try:
-            yield _seal_store(directory, key, build)
-        finally:
-            shutil.rmtree(directory, ignore_errors=True)
-
-    def _memoized_store(
-        self, scenario, key: tuple, build: Callable
-    ) -> FlowStore:
-        full_key = (_scenario_fingerprint(scenario), key)
-        registry = obs.get_registry()
-        with self._lock:
-            key_lock = self._key_locks.setdefault(full_key, threading.Lock())
-        with key_lock:
-            with self._lock:
-                store = self._stores.get(full_key)
-                if store is None:
-                    directory = self._new_store_dir()
-            if store is not None:
-                with self._lock:
-                    self.stats.store_hits += 1
-                registry.counter("dataset-cache.store-hits").inc()
-                return store
-            try:
-                store = _seal_store(directory, key, build)
-            except BaseException:
-                shutil.rmtree(directory, ignore_errors=True)
-                raise
-            with self._lock:
-                self._stores[full_key] = store
-                self.stats.store_misses += 1
-        registry.counter("dataset-cache.store-misses").inc()
-        return store
-
-    def _new_store_dir(self) -> Path:
-        """A fresh store directory name; call with ``_lock`` held."""
-        if self._store_root is None:
-            root = tempfile.mkdtemp(prefix="dataset-cache-stores-")
-            self._store_root = Path(root)
-            self._store_finalizer = weakref.finalize(
-                self, _remove_store_root, root, os.getpid()
-            )
-        self._store_serial += 1
-        return self._store_root / f"store-{self._store_serial}"
-
     def clear(self) -> None:
-        """Drop every entry and sealed store (stats are kept)."""
+        """Drop every entry (stats are kept)."""
         with self._lock:
             self._entries.clear()
             self._key_locks.clear()
-            self._stores.clear()
-            finalizer = self._store_finalizer
-            self._store_root = self._store_finalizer = None
             self.stats.entries = 0
             self.stats.resident_bytes = 0
-        if finalizer is not None:
-            finalizer()
 
 
 #: The process-default cache used when none is explicitly active.
@@ -727,9 +578,3 @@ def fetch_many(scenario, requests: Iterable[DatasetRequest]) -> list:
     """Fetch several requests in order through the active cache."""
     return _ACTIVE_CACHE.fetch_many(scenario, requests)
 
-
-def sealed_store(
-    scenario, key: tuple, build: Callable
-) -> ContextManager[FlowStore]:
-    """:meth:`DatasetCache.sealed_store` on the active cache."""
-    return _ACTIVE_CACHE.sealed_store(scenario, key, build)

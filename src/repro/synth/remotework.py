@@ -151,9 +151,7 @@ def generate_enterprise_flows(
     for i, asn in enumerate(asns):
         behavior = behaviors[asn]
         rng = _rng_for(seed + 1, asn)
-        own_ips[i] = deterministic_addresses_in(
-            prefix_map.prefixes_of(asn), 1, salt=asn
-        )[0]
+        own_ips[i] = prefix_map.server_pool(asn, 1)[0]
         eyeball = int(eyeball_asns[asn % len(eyeball_asns)])
         peer = int(hosting[asn % len(hosting)]) if hosting else eyeball
         peer_asns[i] = (eyeball, peer)

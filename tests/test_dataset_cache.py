@@ -3,14 +3,10 @@
 from __future__ import annotations
 
 import datetime as dt
-import gc
-import threading
-import time
 
 import numpy as np
 import pytest
 
-import repro.obs as obs
 from repro import timebase
 from repro.experiments import PipelineConfig, run_all
 from repro.flows.table import FlowTable
@@ -128,206 +124,6 @@ class TestCacheBehavior:
         assert set(a) == set(b)
         for member in a:
             np.testing.assert_array_equal(a[member], b[member])
-
-
-class TestSealedStore:
-    """``DatasetCache.sealed_store``: one seal per key, owned on disk."""
-
-    DAY = dt.date(2020, 2, 19)
-
-    @pytest.fixture(scope="class")
-    def request_base(self):
-        return datasets.flows_request("isp-ce", self.DAY, self.DAY, 0.05)
-
-    @pytest.fixture(scope="class")
-    def table(self, scenario, request_base):
-        return DatasetCache().fetch(scenario, request_base)
-
-    @pytest.fixture(autouse=True)
-    def _reset_obs(self):
-        yield
-        obs.reset()
-
-    def _builder(self, table, calls):
-        def build(store):
-            calls.append(store.root)
-            store.write_range(table, self.DAY, self.DAY)
-        return build
-
-    def test_second_call_reuses_the_sealed_store(
-        self, scenario, request_base, table
-    ):
-        cache = DatasetCache()
-        calls = []
-        key = ("test/one", request_base)
-        with cache.sealed_store(scenario, key,
-                                self._builder(table, calls)) as first:
-            assert first.total_flows() == len(table)
-        with cache.sealed_store(scenario, key,
-                                self._builder(table, calls)) as second:
-            assert second is first
-        assert len(calls) == 1
-        assert first.root.exists()
-        assert (cache.stats.store_misses, cache.stats.store_hits) == (1, 1)
-        assert cache.stats.to_dict()["store_misses"] == 1
-        # Seals are not dataset fetches.
-        assert (cache.stats.hits, cache.stats.misses) == (0, 0)
-
-    def test_store_counters_reported_only_when_nonzero(self):
-        assert "store_hits" not in DatasetCache().stats.to_dict()
-
-    def test_concurrent_calls_on_one_key_seal_once(
-        self, scenario, request_base, table
-    ):
-        cache = DatasetCache()
-        calls = []
-        build = self._builder(table, calls)
-
-        def slow_build(store):
-            time.sleep(0.05)
-            build(store)
-
-        barrier = threading.Barrier(8)
-        stores = []
-
-        def worker():
-            barrier.wait()
-            with cache.sealed_store(
-                scenario, ("test/race", request_base), slow_build
-            ) as store:
-                stores.append(store)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(calls) == 1
-        assert len(stores) == 8
-        assert all(store is stores[0] for store in stores)
-        assert (cache.stats.store_misses, cache.stats.store_hits) == (1, 7)
-
-    def test_distinct_keys_get_distinct_directories(
-        self, scenario, request_base, table
-    ):
-        cache = DatasetCache()
-        barrier = threading.Barrier(4)
-        roots = {}
-
-        def worker(i):
-            barrier.wait()
-            with cache.sealed_store(
-                scenario, ("test/distinct", i, request_base),
-                self._builder(table, []),
-            ) as store:
-                roots[i] = store.root
-
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(set(roots.values())) == 4
-        assert len({root.parent for root in roots.values()}) == 1
-        assert cache.stats.store_misses == 4
-
-    def test_failed_build_memoizes_nothing(
-        self, scenario, request_base, table
-    ):
-        cache = DatasetCache()
-        key = ("test/fails", request_base)
-        calls = []
-
-        def broken(store):
-            self._builder(table, calls)(store)
-            raise RuntimeError("seal failed")
-
-        with pytest.raises(RuntimeError, match="seal failed"):
-            with cache.sealed_store(scenario, key, broken):
-                pass
-        assert not calls[0].exists()
-        assert cache.stats.store_misses == 0
-        with cache.sealed_store(scenario, key,
-                                self._builder(table, calls)) as store:
-            assert store.total_flows() == len(table)
-        assert len(calls) == 2
-        assert calls[1] != calls[0]
-
-    def test_pass_through_cache_removes_store_after_use(
-        self, scenario, request_base, table
-    ):
-        cache = DatasetCache(enabled=False)
-        calls = []
-        key = ("test/pass-through", request_base)
-        for _ in range(2):
-            with cache.sealed_store(scenario, key,
-                                    self._builder(table, calls)) as store:
-                assert store.total_flows() == len(table)
-                assert store.root.exists()
-            assert not store.root.exists()
-        assert len(calls) == 2
-        assert "store_misses" not in cache.stats.to_dict()
-
-    def test_clear_removes_the_store_root(
-        self, scenario, request_base, table
-    ):
-        cache = DatasetCache()
-        key = ("test/clear", request_base)
-        with cache.sealed_store(scenario, key,
-                                self._builder(table, [])) as store:
-            root = store.root.parent
-        cache.clear()
-        assert not root.exists()
-        with cache.sealed_store(scenario, key,
-                                self._builder(table, [])) as store:
-            assert store.root.exists()
-            assert store.root.parent != root
-        assert cache.stats.store_misses == 2
-
-    def test_collected_cache_removes_the_store_root(
-        self, scenario, request_base, table
-    ):
-        cache = DatasetCache()
-        with cache.sealed_store(scenario, ("test/gc", request_base),
-                                self._builder(table, [])) as store:
-            root = store.root.parent
-        del cache, store
-        gc.collect()
-        assert not root.exists()
-
-    def test_keys_hold_only_requests_and_literals(
-        self, scenario, request_base, table
-    ):
-        cache = DatasetCache()
-        for key in (("test/table", table), (request_base,), ["test/list"]):
-            with pytest.raises(TypeError, match="sealed-store key"):
-                with cache.sealed_store(scenario, key,
-                                        self._builder(table, [])):
-                    pass
-
-    def test_seal_is_a_visible_span_and_counter(
-        self, scenario, request_base, table
-    ):
-        obs.configure(telemetry=True)
-        cache = DatasetCache()
-        for _ in range(2):
-            with datasets.use_cache(cache):
-                with datasets.sealed_store(
-                    scenario, ("test/span", "isp-ce", request_base),
-                    self._builder(table, []),
-                ):
-                    pass
-        (span,) = [
-            s for s in obs.get_tracer().roots
-            if s.name.startswith("sealed-store/")
-        ]
-        assert span.name == "sealed-store/test/span/isp-ce"
-        assert span.metrics == {"flows": len(table), "partitions": 1}
-        registry = obs.get_registry()
-        assert registry.counter("dataset-cache.store-misses").value == 1
-        assert registry.counter("dataset-cache.store-hits").value == 1
 
 
 class TestDiskTier:

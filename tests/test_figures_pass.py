@@ -1,37 +1,55 @@
-"""A figures pass on one dataset cache: seals, pools and Fig. 7 checks.
+"""A figures pass on one dataset cache, and Fig. 7/8 query parity.
 
 One cold ``run_all`` on a fresh world is shared by the module: it must
-build each server-address pool at most once and pass every paper
-check.  A second pass on the same cache must seal nothing new while
-still running every Fig. 7/8 parity query.
+build each server-address pool at most once, pass every paper check,
+and touch no query store.  A second pass on the same cache reads every
+dataset from it.
+
+The figures pass is pure batch analysis.  Whether the query engine
+serves Fig. 7's port mix and Fig. 8's hourly gaming series correctly is
+checked here instead: the cold pass's datasets are sealed into a store
+and queried through a :class:`QueryService`, and the answers are held
+against both :class:`FlowTable` and a plain-numpy reference.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from typing import Dict
 
+import numpy as np
 import pytest
 
-from repro import build_scenario
-from repro.core import ports
-from repro.experiments import PipelineConfig, run_all
+from repro import build_scenario, timebase
+from repro.core import appclass, ports
+from repro.experiments import PipelineConfig, get_spec, run_all
+from repro.experiments import fig08
 from repro.experiments.fig07 import run_fig07
+from repro.flows.record import PROTO_ESP, PROTO_GRE, PROTO_ICMP
 from repro.flows.store import FlowStore
-from repro.query.service import QueryService
+from repro.flows.table import FlowTable, transport_label
+from repro.query import QueryService, QuerySpec
 from repro.synth import datasets
 from repro.synth.datasets import DatasetCache
 
 #: Paper checks the default world records at fast fidelity.
-DEFAULT_SEED_CHECKS = 116
+DEFAULT_SEED_CHECKS = 111
+
+#: Mean |relative error| allowed between the engine's HLL distinct-IP
+#: series and the exact per-hour counts (the sketch's documented
+#: relative standard error is ~1.6% at the default precision; 5% leaves
+#: head room for low-count hours without masking real disagreement).
+HLL_SERIES_TOLERANCE = 0.05
 
 
 @pytest.fixture(scope="module")
 def cold_pass():
-    """(scenario, config, cache, results, pool builds) of one cold pass.
+    """(scenario, config, cache, results, pool builds, engine use).
 
     Pool builds are counted per ``(salt, size, prefixes)`` wherever the
-    flow sampler's server pools can be built from.
+    flow sampler's server pools can be built from.  Engine use counts
+    ``FlowStore.write_range`` calls and ``QueryService`` constructions.
     """
     scenario = build_scenario()
     config = PipelineConfig.fast()
@@ -47,73 +65,73 @@ def cold_pass():
         return original(prefixes, count, salt)
 
     with pytest.MonkeyPatch.context() as patch:
+        engine_use = _count_engine_use(patch)
         patch.setattr(prefixes_mod, "deterministic_addresses_in", counting)
         patch.setattr(flowgen_mod, "deterministic_addresses_in", counting,
                       raising=False)
         with datasets.use_cache(cache):
             results = run_all(scenario, config)
-    return scenario, config, cache, results, builds
+    return scenario, config, cache, results, builds, engine_use
+
+
+def _count_engine_use(patch: pytest.MonkeyPatch) -> Counter:
+    """Count store seals and service starts while ``patch`` is active."""
+    calls: Counter = Counter()
+    write_range = FlowStore.write_range
+    service_init = QueryService.__init__
+
+    def counting_write(self, *args, **kwargs):
+        calls["write_range"] += 1
+        return write_range(self, *args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        calls["QueryService"] += 1
+        return service_init(self, *args, **kwargs)
+
+    patch.setattr(FlowStore, "write_range", counting_write)
+    patch.setattr(QueryService, "__init__", counting_init)
+    return calls
 
 
 def test_cold_pass_builds_each_server_pool_at_most_once(cold_pass):
-    *_, builds = cold_pass
+    *_, builds, _ = cold_pass
     assert builds, "flow sampling should draw server addresses"
     repeated = {key: n for key, n in builds.items() if n > 1}
     assert not repeated
 
 
 def test_default_world_passes_every_check(cold_pass):
-    _, _, cache, results, _ = cold_pass
+    results = cold_pass[3]
     assert sum(len(r.checks) for r in results) == DEFAULT_SEED_CHECKS
     failed = [
         (r.experiment_id, name)
         for r in results for name, ok in r.checks.items() if not ok
     ]
     assert failed == []
-    # Fig. 7 seals one store per vantage, Fig. 8 one gaming store.
-    assert cache.stats.store_misses == 3
-    assert cache.stats.store_hits == 0
+    assert not any(
+        name.startswith("query engine:")
+        for r in results for name in r.checks
+    )
 
 
 def test_warm_pass_seals_nothing_and_still_queries(cold_pass, monkeypatch):
-    scenario, config, cache, cold_results, _ = cold_pass
-    writes = []
-    outcomes = []
-    write_range = FlowStore.write_range
-    run = QueryService.run
-
-    def counting_write(self, *args, **kwargs):
-        writes.append(self.root)
-        return write_range(self, *args, **kwargs)
-
-    def recording_run(self, spec, timeout=None):
-        outcome = run(self, spec, timeout=timeout)
-        outcomes.append(outcome)
-        return outcome
-
-    monkeypatch.setattr(FlowStore, "write_range", counting_write)
-    monkeypatch.setattr(QueryService, "run", recording_run)
-    misses = cache.stats.store_misses
+    """Neither pass seals a store or starts a query service; the warm
+    pass still reads every dataset, all from the cache."""
+    scenario, config, cache, cold_results, _, cold_engine_use = cold_pass
+    warm_engine_use = _count_engine_use(monkeypatch)
+    misses, hits = cache.stats.misses, cache.stats.hits
     with datasets.use_cache(cache):
         results = run_all(scenario, config)
-    assert writes == []
-    assert cache.stats.store_misses == misses
-    assert cache.stats.store_hits >= 3
-    assert len(outcomes) == 3
-    assert all(not outcome.from_cache for outcome in outcomes)
-    assert all(outcome.n_failed == 0 for outcome in outcomes)
-    parity = {
-        (r.experiment_id, name): ok
-        for r in results for name, ok in r.checks.items()
-        if name.startswith("query engine:")
-    }
-    assert len(parity) == 5 and all(parity.values())
+    assert cold_engine_use == Counter()
+    assert warm_engine_use == Counter()
+    assert cache.stats.misses == misses
+    assert cache.stats.hits > hits
     assert [r.checks for r in results] == [r.checks for r in cold_results]
 
 
 #: Fig. 7 growth rows whose checks must fail, not vanish, when absent.
 _DROPPED_ROWS = (
-    "UDP/443", "UDP/4500", "TCP/8080", "GRE", "UDP/8801", "TCP/993",
+    "UDP/443", "UDP/4500", "TCP/8080", "GRE", "ESP", "UDP/8801", "TCP/993",
     "UDP/2408",
 )
 
@@ -123,6 +141,7 @@ _DEPENDENT_CHECKS = (
     "UDP/4500 grows on workdays",
     "UDP/4500 weekend change negligible",
     "TCP/8080 sees no major change",
+    "GRE/ESP decrease at the IXP-CE",
     "GRE slightly increases at the ISP",
     "Zoom grows by an order of magnitude at the ISP",
     "IMAP-TLS grows ~60% during working hours",
@@ -131,7 +150,7 @@ _DEPENDENT_CHECKS = (
 
 
 def test_fig07_missing_growth_rows_fail_their_checks(cold_pass, monkeypatch):
-    scenario, config, cache, cold_results, _ = cold_pass
+    scenario, config, cache, cold_results, *_ = cold_pass
     (cold,) = [r for r in cold_results if r.experiment_id == "fig07"]
     port_growth = ports.port_growth
 
@@ -149,4 +168,111 @@ def test_fig07_missing_growth_rows_fail_their_checks(cold_pass, monkeypatch):
     for metric in ("isp-ce/quic-growth", "ixp-ce/udp4500-weekend",
                    "isp-ce/zoom-growth", "ixp-ce/cloudflare-growth"):
         assert math.isnan(result.metrics[metric])
-    assert result.checks["query engine: port mix matches batch exactly"]
+
+
+# -- query-engine parity on the Fig. 7/8 datasets ---------------------------
+
+
+def _cached_requests(cold_pass, experiment_id: str):
+    """The experiment's requests and tables, served by the pass's cache."""
+    scenario, config, cache, *_ = cold_pass
+    requests = get_spec(experiment_id).dataset_requests(scenario, config)
+    misses = cache.stats.misses
+    tables = [cache.fetch(scenario, request) for request in requests]
+    assert cache.stats.misses == misses, "datasets should be cache hits"
+    return requests, tables
+
+
+def _run_query(store: FlowStore, spec: QuerySpec):
+    with QueryService({spec.vantage: store}, workers=2) as service:
+        outcome = service.run(spec, timeout=300.0)
+    assert outcome.n_failed == 0
+    return outcome
+
+
+def _naive_port_mix(flows: FlowTable) -> Dict[str, int]:
+    """Bytes per ``PROTO/port`` label in plain numpy, no group index.
+
+    The service port is the non-ephemeral side of the flow (the
+    destination when both or neither side is below 49152), zero for
+    port-less protocols.
+    """
+    proto = flows.column("proto").astype(np.int64)
+    src = flows.column("src_port").astype(np.int64)
+    dst = flows.column("dst_port").astype(np.int64)
+    service = np.where((src < 49152) & (dst >= 49152), src, dst)
+    service[np.isin(proto, (PROTO_GRE, PROTO_ESP, PROTO_ICMP))] = 0
+    keys, inverse = np.unique(proto * 65536 + service, return_inverse=True)
+    sums = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(sums, inverse, flows.column("n_bytes"))
+    mix: Dict[str, int] = {}
+    for key, total in zip(keys, sums):
+        label = transport_label(int(key))
+        mix[label] = mix.get(label, 0) + int(total)
+    return mix
+
+
+@pytest.mark.parametrize("vantage", ["isp-ce", "ixp-ce"])
+def test_fig07_port_mix_query_matches_batch_and_reference(
+    cold_pass, tmp_path, vantage
+):
+    requests, tables = _cached_requests(cold_pass, "fig07")
+    weeks = [
+        (request, table) for request, table in zip(requests, tables)
+        if request.vantage == vantage
+    ]
+    assert len(weeks) == 3
+    # One range per analysis week: the weeks are disjoint, so the
+    # planner must skip the days between them.
+    store = FlowStore(tmp_path / vantage)
+    for request, table in weeks:
+        store.write_range(table, request.start, request.end)
+    outcome = _run_query(store, QuerySpec.build(
+        vantage,
+        min(request.start for request, _ in weeks),
+        max(request.end for request, _ in weeks),
+        group_by=["transport"], aggregates=["bytes"],
+    ))
+    engine_mix: Dict[str, int] = {}
+    for row in outcome.rows:
+        label = transport_label(int(row["transport"]))
+        engine_mix[label] = engine_mix.get(label, 0) + int(row["bytes"])
+    flows = FlowTable.concat([table for _, table in weeks])
+    assert engine_mix == flows.bytes_by_transport_key()
+    assert engine_mix == _naive_port_mix(flows)
+
+
+def test_fig08_hourly_query_matches_batch_and_reference(cold_pass, tmp_path):
+    (request,), (flows,) = _cached_requests(cold_pass, "fig08")
+    selected = appclass.standard_classes()["gaming"].select(flows)
+    store = FlowStore(tmp_path / "ixp-se")
+    store.write_range(selected, fig08.START, fig08.END)
+    outcome = _run_query(store, QuerySpec.build(
+        request.vantage, fig08.START, fig08.END,
+        aggregates=["bytes", "distinct_dst_ips"], bucket="hour",
+    ))
+    start = timebase.hour_index(fig08.START, 0)
+    stop = timebase.hour_index(fig08.END, 23) + 1
+    hours = selected.column("hour")
+    in_range = (hours >= start) & (hours < stop)
+    assert in_range.any()
+
+    engine_volume = outcome.hourly("bytes", start, stop)
+    naive_volume = np.zeros(stop - start, dtype=np.int64)
+    np.add.at(naive_volume, hours[in_range] - start,
+              selected.column("n_bytes")[in_range])
+    assert np.array_equal(engine_volume, selected.hourly_bytes(start, stop))
+    assert np.array_equal(engine_volume, naive_volume)
+
+    pairs = np.unique(np.stack(
+        [hours[in_range] - start,
+         selected.column("dst_ip")[in_range].astype(np.int64)],
+        axis=1,
+    ), axis=0)
+    exact_ips = np.bincount(pairs[:, 0], minlength=stop - start)
+    active = exact_ips > 0
+    engine_ips = outcome.hourly("distinct_dst_ips", start, stop)
+    mean_error = float(
+        np.abs(engine_ips[active] / exact_ips[active] - 1.0).mean()
+    )
+    assert mean_error <= HLL_SERIES_TOLERANCE
