@@ -464,44 +464,19 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_store_migrate(args: argparse.Namespace) -> int:
-    from repro.flows.store import (
-        FORMAT_V1,
-        FORMAT_V2,
-        FORMAT_V3,
-        FlowStore,
-    )
-
-    store = FlowStore(args.store)
-    target = {"v1": FORMAT_V1, "v2": FORMAT_V2, "v3": FORMAT_V3}[args.to]
-    migrated = store.migrate(target)
-    counts = store.format_counts()
-    inventory = ", ".join(
-        f"v{fmt}: {n}" for fmt, n in sorted(counts.items())
-    ) or "no partitions"
-    print(
-        f"migrated {migrated} partition(s) to {args.to} under "
-        f"{store.root} ({inventory})"
-    )
-    return 0
-
-
 def _cmd_store_stats(args: argparse.Namespace) -> int:
     from repro.flows.store import FlowStore
 
     store = FlowStore(args.store)
-    stats = store.column_stats()
-    counts = store.format_counts()
-    inventory = ", ".join(
-        f"v{fmt}: {n}" for fmt, n in sorted(counts.items())
-    ) or "no partitions"
+    stats, unreadable = store.column_stats()
     total_raw = sum(int(e["raw_nbytes"]) for e in stats.values())
     total_stored = sum(int(e["stored_nbytes"]) for e in stats.values())
     total_index = sum(int(e["index_nbytes"]) for e in stats.values())
     if args.json:
         payload = {
             "store": str(store.root),
-            "partitions": {f"v{fmt}": n for fmt, n in sorted(counts.items())},
+            "partitions": len(store),
+            "unreadable": unreadable,
             "columns": stats,
             "total_raw_nbytes": total_raw,
             "total_stored_nbytes": total_stored,
@@ -509,9 +484,16 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    print(f"store {store.root} ({inventory})")
+    print(f"store {store.root} ({len(store)} partition(s))")
+    if unreadable:
+        print(
+            f"{len(unreadable)} unreadable partition(s), left out of "
+            f"the totals below:"
+        )
+        for day, error in unreadable.items():
+            print(f"  {day}: {error}")
     if not stats:
-        print("no columnar partitions to report (v1 archives only)")
+        print("no readable partitions to report")
         return 0
     header = (
         f"{'column':<12} {'encoding':<12} {'card':>6} "
@@ -1102,22 +1084,6 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = store_parser.add_subparsers(
         dest="store_command", required=True
     )
-    migrate_parser = store_sub.add_parser(
-        "migrate",
-        help="rewrite partitions into another format, in place",
-    )
-    migrate_parser.add_argument(
-        "store", metavar="DIR",
-        help="FlowStore directory (as written by generate --store)",
-    )
-    migrate_parser.add_argument(
-        "--to", choices=("v1", "v2", "v3"), default="v3",
-        help="target partition format (default: %(default)s — "
-             "encoded columns with bitmap indexes; v2 keeps raw "
-             "per-column segments, v1 one .npz archive per day)",
-    )
-    migrate_parser.set_defaults(func=_cmd_store_migrate)
-
     stats_parser = store_sub.add_parser(
         "stats",
         help="per-column storage report: encoding, bytes, compression",

@@ -1,44 +1,8 @@
-"""Columnar partition format v2: per-column segments + zone-map sidecar.
+"""Columnar partition format v3: encoded column parts + sidecar.
 
-A v1 :class:`~repro.flows.store.FlowStore` partition is one compressed
-``.npz`` archive — every read decompresses and checksums *all* columns
-even when the query touches two of them.  Format v2 turns each day into
-a directory of raw per-column ``.npy`` segments plus a JSON sidecar::
-
-    store/
-      manifest.json            entries carry {"format": 2, "sha256": ...}
-      2020-03-25/
-        sidecar.json           per-column checksums + zone map
-        hour.npy               one raw segment per column
-        src_ip.npy
-        ...
-
-The sidecar holds, per column, the segment's SHA-256, dtype, byte size,
-and min/max (the **zone map**), plus the partition row count and
-pre-aggregated per-hour ``bytes``/``flows`` totals.  That makes three
-optimizations possible without touching row data:
-
-* **Projection pushdown** — :meth:`ColumnarPartition.load` maps only
-  the columns a query references (``np.load(..., mmap_mode="r")``), and
-  verifies checksums only for those segments;
-* **Data skipping** — the planner prunes partitions whose zone map
-  (actual hour range, predicate column bounds) cannot match;
-* **Pre-aggregate answers** — unfiltered ``bytes``/``flows`` totals
-  (whole-day or per-hour) come straight from the sidecar.
-
-Checksum verification reads a segment once; a process-global
-verified-cache keyed by ``(path, mtime_ns, size)`` makes repeated warm
-queries skip re-hashing entirely.
-
-Setting the ``REPRO_NO_COLSTORE`` environment variable (to anything
-non-empty) forces the v1 full-load path everywhere: new partitions are
-written as ``.npz`` archives and v2 partitions are read fully into
-memory with every checksum verified.  Results are bit-identical either
-way — the variable only trades I/O strategy.
-
-Format **v3** keeps the sidecar discipline but encodes each column at
-seal time (see :mod:`repro.flows.encodings`) and packs every encoded
-*part* into one 64-byte-aligned ``segments.bin`` data file::
+Each day of a :class:`~repro.flows.store.FlowStore` is one directory
+holding a single 64-byte-aligned data file of per-column *encoded*
+parts and a JSON sidecar that describes them::
 
     store/
       manifest.json            entries carry {"format": 3, "sha256": ...}
@@ -46,21 +10,39 @@ seal time (see :mod:`repro.flows.encodings`) and packs every encoded
         sidecar.json           encodings, per-part sha256, zones, indexes
         segments.bin           all encoded column parts, one mmap
 
+Columns are encoded at seal time (see :mod:`repro.flows.encodings`).
 Low-cardinality columns are dictionary-encoded (sorted uniques + small
 codes) and, at very low cardinality, also get a serialized **bitmap
 index** (one packed bit-row per distinct value).  Near-sorted columns
-(``hour``) are delta + bit-packed.  The scan path can then evaluate
-equality/membership predicates on dictionary codes or by OR/AND-ing
-bitmap rows *before* materializing any row data, gathering only the
-surviving rows of only the referenced columns
-(:meth:`ColumnarPartition.load_filtered`).  The sidecar additionally
-records conservative zones for the derived keys (``service_port``,
-``transport``) so derived-key predicates can prune partitions.
+(``hour``) are delta + bit-packed.  Everything else is stored raw.
 
-``REPRO_NO_COLSTORE_V3`` (any non-empty value) is the v3 escape hatch:
-new partitions are written as v2 and existing v3 partitions are read
-through the plain decode-everything scan path (no bitmap short-cuts).
-Results are bit-identical either way.
+The sidecar holds, per column, the dtype, raw byte size, encoding,
+min/max (the **zone map**) and each part's offset, size and SHA-256,
+plus the partition row count, conservative zones for the derived keys
+(``service_port``, ``transport``) and pre-aggregated per-hour
+``bytes``/``flows`` totals.  That makes four optimizations possible:
+
+* **Projection pushdown** — :meth:`ColumnarPartition.load` decodes only
+  the columns a query references, and verifies checksums only for
+  their parts;
+* **Data skipping** — the planner prunes partitions whose zone map
+  (actual hour range, predicate column and derived-key bounds) cannot
+  match;
+* **Predicate-first scans** — equality/membership predicates are
+  evaluated on dictionary codes or by OR/AND-ing bitmap rows *before*
+  any row data is materialized, and only the surviving rows of the
+  referenced columns are gathered
+  (:meth:`ColumnarPartition.load_filtered`);
+* **Pre-aggregate answers** — unfiltered ``bytes``/``flows`` totals
+  (whole-day or per-hour) come straight from the sidecar.
+
+Checksum verification reads a part once; a process-global
+verified-cache keyed by the data file's ``(path, mtime_ns, size)`` and
+the part makes repeated warm queries skip re-hashing entirely.
+
+A sidecar of any other ``format`` is refused with
+:class:`FlowStoreError`: stores are derived data, rebuilt with
+``repro generate --store``.
 """
 
 from __future__ import annotations
@@ -79,7 +61,7 @@ import numpy as np
 import repro.obs as obs
 from repro.flows import encodings, groupby
 from repro.flows.groupby import GroupIndex
-from repro.flows.io import file_sha256, read_npy_segment, write_npy_segment
+from repro.flows.io import file_sha256
 from repro.flows.table import (
     COLUMNS,
     DERIVED_BASE_COLUMNS,
@@ -89,23 +71,15 @@ from repro.flows.table import (
     compute_transport,
 )
 
-#: Partition format versions understood by the store.
-FORMAT_V1 = 1
-FORMAT_V2 = 2
+#: The partition format version, recorded in sidecars and manifest
+#: entries.
 FORMAT_V3 = 3
 
-#: Sidecar file name inside a v2/v3 partition directory.
+#: Sidecar file name inside a partition directory.
 SIDECAR = "sidecar.json"
 
-#: Single data file holding every encoded part of a v3 partition.
+#: Single data file holding every encoded part of a partition.
 DATA_FILE = "segments.bin"
-
-#: Environment variable forcing the v1 full-load path.
-DISABLE_ENV = "REPRO_NO_COLSTORE"
-
-#: Environment variable pinning writes to v2 and disabling the bitmap
-#: scan path (v3 partitions are still readable, fully decoded).
-DISABLE_V3_ENV = "REPRO_NO_COLSTORE_V3"
 
 #: Hour bins per day partition.
 _HOURS = 24
@@ -113,48 +87,20 @@ _HOURS = 24
 #: Part offsets inside ``segments.bin`` are aligned to this boundary.
 _PART_ALIGN = 64
 
+#: How every error about an unreadable partition format ends.
+REBUILD_HINT = "rebuild the store with `repro generate --store`"
+
 
 class FlowStoreError(Exception):
     """A partition that exists in the manifest cannot be served.
 
-    Raised for missing partition files or column segments, checksum
-    mismatches, corrupt sidecars, and archives that fail to parse — all
-    the ways a store directory can rot underneath its manifest.
+    Raised for missing partition directories, data files or column
+    parts, checksum mismatches, corrupt sidecars, and partitions in a
+    format other than v3 — all the ways a store directory can rot (or
+    age) underneath its manifest.
     (Re-exported as :class:`repro.flows.store.FlowStoreError`, its
     historical home.)
     """
-
-
-def enabled() -> bool:
-    """Whether the columnar read/write path is active.
-
-    ``REPRO_NO_COLSTORE`` (any non-empty value) disables it, forcing
-    v1 ``.npz`` writes and full in-memory loads of v2 partitions.
-    """
-    return not os.environ.get(DISABLE_ENV)
-
-
-def v3_enabled() -> bool:
-    """Whether the v3 encoded format is active for writes and scans.
-
-    ``REPRO_NO_COLSTORE_V3`` (any non-empty value) pins new writes to
-    v2 and routes v3 reads through the plain decode-everything path —
-    bit-identical results, no bitmap short-cuts.  Implies nothing when
-    the colstore as a whole is disabled.
-    """
-    return enabled() and not os.environ.get(DISABLE_V3_ENV)
-
-
-def mode_token() -> str:
-    """Short tag naming the active partition I/O mode.
-
-    Folded into the query service's cache key so results cached under
-    one mode (with its ``bytes_read``/``columns_loaded`` diagnostics)
-    are not replayed under another.
-    """
-    if not enabled():
-        return "full-load"
-    return "colstore-v3" if v3_enabled() else "colstore"
 
 
 def required_base_columns(names: Iterable[str]) -> Tuple[str, ...]:
@@ -344,10 +290,6 @@ class RangeSeal:
         """Traffic bytes of day ``i``."""
         return int(self._hours[0][i].sum())
 
-    def table(self, i: int) -> FlowTable:
-        """Day ``i``'s rows."""
-        return self._flows.take(self._day_rows(i))
-
     def _day_rows(self, i: int) -> np.ndarray:
         return self._rows[self._bounds[i]:self._bounds[i + 1]]
 
@@ -411,11 +353,11 @@ class RangeSeal:
                 codes[self._bounds[i]:self._bounds[i + 1]],
                 counts[v_lo:v_hi])
 
-    def _sidecar(self, i: int, fmt: int, columns: dict) -> dict:
-        """Day ``i``'s sidecar fields shared by v2 and v3."""
+    def _sidecar(self, i: int, columns: dict) -> dict:
+        """Day ``i``'s sidecar fields besides the data file and indexes."""
         byte_bins, flow_bins = self._hours
         return {
-            "format": fmt,
+            "format": FORMAT_V3,
             "rows": self.rows(i),
             "day_start": self._first_hour + _HOURS * i,
             "columns": columns,
@@ -435,44 +377,27 @@ class RangeSeal:
             "max": int(values[-1]) if len(values) else None,
         }
 
-    def write(self, i: int, final_dir: Path, fmt: int) -> Tuple[dict, str]:
-        """Write day ``i`` as a v2 or v3 partition directory, atomically.
+    def write(self, i: int, final_dir: Path) -> Tuple[dict, str]:
+        """Write day ``i`` as a partition directory, atomically.
 
-        Builds the whole partition (segments + sidecar) under a
+        Builds the whole partition (data file + sidecar) under a
         temporary sibling directory and swaps it into place, so readers
-        never observe a half-written day.  ``fmt`` picks the layout.
-        Returns ``(sidecar payload, sidecar sha256)``; the caller
-        records the sidecar hash in the store manifest, chaining
-        manifest → sidecar → column parts.
+        never observe a half-written day.  Returns ``(sidecar payload,
+        sidecar sha256)``; the caller records the sidecar hash in the
+        store manifest, chaining manifest → sidecar → column parts.
         """
-        if fmt not in (FORMAT_V2, FORMAT_V3):
-            raise ValueError(f"unknown columnar partition format {fmt!r}")
         final_dir = Path(final_dir)
         temp = final_dir.with_name(final_dir.name + ".tmp")
         if temp.exists():
             shutil.rmtree(temp)
         temp.mkdir(parents=True)
-        if fmt == FORMAT_V3:
-            sidecar = self._build_v3(i, temp)
-        else:
-            sidecar = self._build_v2(i, temp)
+        sidecar = self._build(i, temp)
         sidecar_sha = _write_sidecar(sidecar, temp)
         _seal_dir(temp, final_dir)
         obs.counter("colstore.partitions-written").inc()
         return sidecar, sidecar_sha
 
-    def _build_v2(self, i: int, temp: Path) -> dict:
-        columns_meta: Dict[str, Dict[str, object]] = {}
-        day_rows = self._day_rows(i)
-        for name in COLUMNS:
-            column = self._flows.column(name)[day_rows]
-            meta = {"sha256": write_npy_segment(column, temp / f"{name}.npy")}
-            meta.update(self._column_meta(
-                column, self._day_dictionary(i, name)[0]))
-            columns_meta[name] = meta
-        return self._sidecar(i, FORMAT_V2, columns_meta)
-
-    def _build_v3(self, i: int, temp: Path) -> dict:
+    def _build(self, i: int, temp: Path) -> dict:
         writer = _PartWriter()
         columns_meta: Dict[str, Dict[str, object]] = {}
         indexes: Dict[str, Dict[str, object]] = {}
@@ -503,7 +428,7 @@ class RangeSeal:
                     "part": writer.add(bitmap),
                 }
         writer.write(temp / DATA_FILE)
-        sidecar = self._sidecar(i, FORMAT_V3, columns_meta)
+        sidecar = self._sidecar(i, columns_meta)
         sidecar.update({"data_file": DATA_FILE, "indexes": indexes})
         return sidecar
 
@@ -516,9 +441,9 @@ def read_sidecar(partition_dir: Path, expected_sha: Optional[str],
     """Load and validate one partition sidecar.
 
     ``expected_sha`` (from the store manifest) is verified first, so a
-    tampered sidecar cannot vouch for tampered segments.  Structural
-    problems — unparseable JSON, missing fields, wrong column set —
-    raise :class:`FlowStoreError`.
+    tampered sidecar cannot vouch for tampered parts.  Structural
+    problems — unparseable JSON, a format other than v3, missing
+    fields, wrong column set — raise :class:`FlowStoreError`.
     """
     path = Path(partition_dir) / SIDECAR
     if expected_sha is not None:
@@ -533,13 +458,11 @@ def read_sidecar(partition_dir: Path, expected_sha: Optional[str],
             f"sidecar for {what} cannot be parsed: "
             f"{type(exc).__name__}: {exc}"
         ) from exc
-    if (
-        not isinstance(sidecar, dict)
-        or sidecar.get("format") not in (FORMAT_V2, FORMAT_V3)
-    ):
+    if not isinstance(sidecar, dict) or sidecar.get("format") != FORMAT_V3:
         raise FlowStoreError(
             f"sidecar for {what} has unsupported format "
             f"{sidecar.get('format') if isinstance(sidecar, dict) else sidecar!r}"
+            f"; {REBUILD_HINT}"
         )
     columns = sidecar.get("columns")
     if not isinstance(columns, dict) or set(columns) != set(COLUMNS):
@@ -695,7 +618,7 @@ def _rebuild_bundle(
 
 
 class _DataFile(NamedTuple):
-    """One load's view of a v3 data file.
+    """One load's view of a partition's data file.
 
     ``identity`` is ``(path, mtime_ns, size)`` from a single stat at the
     start of the load; it keys the verified-cache for every part the
@@ -708,10 +631,10 @@ class _DataFile(NamedTuple):
 
 
 class ColumnarPartition:
-    """One v2/v3 partition directory opened for reading.
+    """One partition directory opened for reading.
 
     Pickles by ``(day, path, sidecar)`` — plain data, no open mmaps —
-    so partition handles are cheap to ship to scan workers.  The v3
+    so partition handles are cheap to ship to scan workers.  The
     data-file mmap is opened lazily per handle and never pickled.
     """
 
@@ -735,10 +658,6 @@ class ColumnarPartition:
     @property
     def rows(self) -> int:
         return int(self._sidecar["rows"])
-
-    @property
-    def format(self) -> int:
-        return int(self._sidecar.get("format", FORMAT_V2))
 
     @property
     def sidecar(self) -> dict:
@@ -765,18 +684,16 @@ class ColumnarPartition:
     def column_nbytes(self, columns: Iterable[str]) -> int:
         """On-disk bytes behind ``columns`` (estimation, I/O accounting).
 
-        Raw segment bytes for v2; the summed encoded part bytes for v3
-        — i.e. what a scan of those columns would actually read.
+        The summed encoded part bytes — what a scan of those columns
+        would actually read.
         """
-        total = 0
-        for name in columns:
-            meta = self._sidecar["columns"][name]
-            parts = meta.get("parts")
-            if parts:
-                total += sum(int(p["nbytes"]) for p in parts.values())
-            else:
-                total += int(meta["nbytes"])
-        return total
+        return sum(
+            int(part["nbytes"])
+            for name in columns
+            for part in (
+                self._sidecar["columns"][name].get("parts") or {}
+            ).values()
+        )
 
     def index_meta(self, column: str) -> Optional[dict]:
         """Bitmap-index metadata for one column, or None."""
@@ -786,20 +703,14 @@ class ColumnarPartition:
         """Per-column seal decisions for ``store stats`` and benches.
 
         Maps column name to raw vs. stored bytes, the chosen encoding,
-        and (for dictionaries) the cardinality.  v2 partitions report
-        every column as ``raw`` at ratio 1.0.
+        and (for dictionaries) the cardinality.
         """
         stats: Dict[str, Dict[str, object]] = {}
         for name, meta in self._sidecar["columns"].items():
-            parts = meta.get("parts")
-            if parts:
-                stored = sum(int(p["nbytes"]) for p in parts.values())
-            else:
-                stored = int(meta["nbytes"])
             entry: Dict[str, object] = {
                 "encoding": meta.get("encoding", encodings.RAW),
                 "raw_nbytes": int(meta["nbytes"]),
-                "stored_nbytes": stored,
+                "stored_nbytes": self.column_nbytes((name,)),
             }
             if meta.get("cardinality") is not None:
                 entry["cardinality"] = int(meta["cardinality"])
@@ -824,37 +735,16 @@ class ColumnarPartition:
         """Load the requested physical columns, verifying their checksums.
 
         Returns ``(bundle, bytes_read)`` where ``bytes_read`` counts the
-        on-disk bytes behind the loaded columns (encoded bytes for v3).
-        Missing or corrupt segments raise :class:`FlowStoreError`
-        naming the column.
+        encoded on-disk bytes behind the loaded columns.  Missing or
+        corrupt parts raise :class:`FlowStoreError` naming the column.
         """
         arrays: Dict[str, np.ndarray] = {}
         bytes_read = 0
-        if self.format == FORMAT_V3:
-            data = self._data_file()
-            for name in columns:
-                array, nbytes = self._decode_column(name, data, mmap)
-                arrays[name] = array
-                bytes_read += nbytes
-        else:
-            for name in columns:
-                meta = self._sidecar["columns"][name]
-                path = self._dir / f"{name}.npy"
-                _verify_file(
-                    path, str(meta["sha256"]),
-                    f"column {name!r} of partition {self.day}",
-                )
-                try:
-                    arrays[name] = read_npy_segment(
-                        path, np.dtype(str(meta["dtype"])), self.rows,
-                        mmap=mmap,
-                    )
-                except (OSError, ValueError) as exc:
-                    raise FlowStoreError(
-                        f"column {name!r} of partition {self.day} cannot "
-                        f"be read: {type(exc).__name__}: {exc}"
-                    ) from exc
-                bytes_read += int(meta["nbytes"])
+        data = self._data_file()
+        for name in columns:
+            array, nbytes = self._decode_column(name, data, mmap)
+            arrays[name] = array
+            bytes_read += nbytes
         obs.counter("colstore.loads").inc()
         obs.counter("colstore.columns-loaded").inc(len(arrays))
         obs.counter("colstore.bytes-mapped").inc(bytes_read)
@@ -864,7 +754,7 @@ class ColumnarPartition:
         )
         return bundle, bytes_read
 
-    # -- v3 internals --------------------------------------------------------
+    # -- internals -----------------------------------------------------------
 
     def _data_file(self) -> _DataFile:
         """``segments.bin`` for one load: its bytes and stat identity.
@@ -946,7 +836,7 @@ class ColumnarPartition:
     def _decode_column(
         self, name: str, data: _DataFile, mmap: bool
     ) -> Tuple[np.ndarray, int]:
-        """Decode one v3 column to its logical array.
+        """Decode one column to its logical array.
 
         Unknown (future) encodings degrade to the column's ``raw`` part
         when one is present — still checksum-verified — so a newer
@@ -1003,7 +893,7 @@ class ColumnarPartition:
         self, predicates: Sequence, columns: Sequence[str],
         mmap: bool = True,
     ) -> Tuple[ColumnBundle, int]:
-        """Predicate-first scan of a v3 partition.
+        """Predicate-first scan of the partition.
 
         Evaluates each predicate in the cheapest space available —
         bitmap-row OR/AND for indexed columns, dictionary-code compare
@@ -1017,10 +907,6 @@ class ColumnarPartition:
         objects (``column``, ``op`` ∈ {"in", "range"}, sorted
         ``values``); ``columns`` must be physical column names.
         """
-        if self.format != FORMAT_V3:
-            raise FlowStoreError(
-                f"partition {self.day} is not a v3 partition"
-            )
         rows = self.rows
         data = self._data_file()
         bytes_read = 0
@@ -1182,11 +1068,7 @@ class ColumnarPartition:
         obs.counter("colstore.bitmap-scans").inc()
         return ColumnBundle(arrays, int(idx.size)), bytes_read
 
-    def table(self, mmap: bool = False) -> FlowTable:
-        """The whole partition as a :class:`FlowTable` (all columns).
-
-        ``mmap=False`` (the default for the v1-compatible full-load
-        path) materializes every column in memory.
-        """
-        bundle, _ = self.load(tuple(COLUMNS), mmap=mmap)
+    def table(self) -> FlowTable:
+        """The whole partition as a :class:`FlowTable` (all columns)."""
+        bundle, _ = self.load(tuple(COLUMNS))
         return FlowTable({name: bundle.column(name) for name in COLUMNS})

@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 import repro.obs as obs
-from repro.flows import colstore
 from repro.flows.store import FlowStore
 from repro.obs.slowlog import SlowQueryLog
 from repro.query import engine, procpool
@@ -50,12 +49,8 @@ from repro.query.spec import QuerySpec
 
 PathLike = Union[str, Path]
 
-#: Cache key: (spec fingerprint, store state token, partition I/O
-#: mode).  The mode component keeps results cached under the colstore
-#: path from being replayed — with their ``bytes_read`` /
-#: ``columns_loaded`` diagnostics — after ``REPRO_NO_COLSTORE``
-#: flips the I/O strategy, and vice versa.
-CacheKey = Tuple[str, str, str]
+#: Cache key: (spec fingerprint, store state token).
+CacheKey = Tuple[str, str]
 
 
 class QueryTicket:
@@ -398,10 +393,7 @@ class QueryService:
                 f"in the admission queue"
             )
         store = self._stores[job.spec.vantage]
-        key = (
-            job.spec.fingerprint(), store.state_token(),
-            colstore.mode_token(),
-        )
+        key = (job.spec.fingerprint(), store.state_token())
         with self._lock:
             cached = self._cache.get(key)
             if cached is not None:

@@ -1,0 +1,103 @@
+"""Hand-made store damage for the flow-store fault drills.
+
+The store writes only the v3 partition format, so partitions in the
+layouts older versions wrote are made here by hand:
+
+* v1 — one compressed ``<day>.npz`` archive per day, and a manifest
+  entry with a checksum but no ``format`` key;
+* v2 — one directory per day of raw per-column ``.npy`` segments plus a
+  ``sidecar.json`` with ``"format": 2``, and a manifest entry with
+  ``"format": 2``.
+
+Either takes the place of a day the store already lists.
+"""
+
+from __future__ import annotations
+
+import datetime as dt
+import hashlib
+import json
+import shutil
+from pathlib import Path
+from typing import Callable, Optional
+
+import numpy as np
+
+from repro.flows import colstore
+from repro.flows.io import file_sha256, write_npz
+from repro.flows.table import COLUMNS, FlowTable
+
+MANIFEST = "manifest.json"
+
+
+def _edit_manifest(root: Path, edit: Callable[[dict], None]) -> None:
+    path = root / MANIFEST
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def age_partition(root: Path, day: dt.date, flows: FlowTable,
+                  fmt: Optional[int]) -> None:
+    """Replace ``day``'s partition with ``flows`` in an old layout.
+
+    ``fmt=None`` writes a v1 archive and entry, ``fmt=2`` a v2
+    directory and entry.  Reopen the store afterwards.
+    """
+    key = day.isoformat()
+    shutil.rmtree(root / key)
+    entry = {"flows": len(flows), "bytes": flows.total_bytes()}
+    if fmt is None:
+        archive = root / f"{key}.npz"
+        write_npz(flows, archive)
+        entry["sha256"] = file_sha256(archive)
+    else:
+        directory = root / key
+        directory.mkdir()
+        columns = {}
+        for name in COLUMNS:
+            column = flows.column(name)
+            np.save(directory / f"{name}.npy", column)
+            columns[name] = {
+                "sha256": file_sha256(directory / f"{name}.npy"),
+                "dtype": column.dtype.str,
+                "nbytes": int(column.nbytes),
+                "min": int(column.min()) if len(column) else None,
+                "max": int(column.max()) if len(column) else None,
+            }
+        payload = json.dumps(
+            {"format": fmt, "rows": len(flows), "columns": columns},
+            sort_keys=True,
+        ).encode("utf-8")
+        (directory / colstore.SIDECAR).write_bytes(payload)
+        entry["sha256"] = hashlib.sha256(payload).hexdigest()
+        entry["format"] = fmt
+
+    def _replace(manifest: dict) -> None:
+        manifest[key] = entry
+
+    _edit_manifest(root, _replace)
+
+
+def rewrite_sidecar(root: Path, day: dt.date,
+                    mutate: Callable[[dict], None]) -> None:
+    """Hand-edit one sidecar and re-chain the manifest hash to it.
+
+    Reopen the store afterwards.
+    """
+    path = root / day.isoformat() / colstore.SIDECAR
+    sidecar = json.loads(path.read_text())
+    mutate(sidecar)
+    path.write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+
+    def _rechain(manifest: dict) -> None:
+        manifest[day.isoformat()]["sha256"] = file_sha256(path)
+
+    _edit_manifest(root, _rechain)
+
+
+def flip_byte(path: Path, offset: Optional[int] = None) -> None:
+    """Invert one byte of ``path`` (by default the middle one)."""
+    payload = bytearray(path.read_bytes())
+    payload[len(payload) // 2 if offset is None else offset] ^= 0xFF
+    path.write_bytes(bytes(payload))

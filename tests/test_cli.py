@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import datetime as dt
 import json
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 import repro.obs as obs
 from repro import cli
 from repro.flows.io import read_csv, read_npz
+from repro.flows.store import FlowStore
 from repro.pipeline import ExperimentResult
+from tests.store_drills import age_partition, flip_byte
 
 
 @pytest.fixture(autouse=True)
@@ -107,8 +110,6 @@ class TestQueryServe:
         return root
 
     def test_generate_store_writes_partitions(self, store_dir):
-        from repro.flows.store import FlowStore
-
         store = FlowStore(store_dir)
         assert len(store) == 4
         assert store.total_flows() > 0
@@ -248,67 +249,6 @@ class TestQueryServe:
         assert code == 2
 
 
-class TestStoreMigrate:
-    @pytest.fixture
-    def v1_store_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COLSTORE", "1")
-        root = tmp_path / "ixp-se"
-        code = cli.main(
-            [
-                "generate", "--vantage", "ixp-se",
-                "--start", "2020-02-19", "--end", "2020-02-21",
-                "--fidelity", "0.2", "--store", str(root),
-            ]
-        )
-        assert code == 0
-        monkeypatch.delenv("REPRO_NO_COLSTORE")
-        return root
-
-    def test_migrate_reports_inventory(self, v1_store_dir, capsys):
-        from repro.flows.store import FORMAT_V3, FlowStore
-
-        capsys.readouterr()
-        assert cli.main(["store", "migrate", str(v1_store_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "migrated 3 partition(s) to v3" in out
-        assert "v3: 3" in out
-        assert FlowStore(v1_store_dir).format_counts() == {FORMAT_V3: 3}
-
-    def test_migrate_is_idempotent(self, v1_store_dir, capsys):
-        cli.main(["store", "migrate", str(v1_store_dir)])
-        capsys.readouterr()
-        assert cli.main(["store", "migrate", str(v1_store_dir)]) == 0
-        assert "migrated 0 partition(s)" in capsys.readouterr().out
-
-    def test_migrate_round_trip_preserves_queries(
-        self, v1_store_dir, capsys
-    ):
-        def run_query():
-            capsys.readouterr()
-            code = cli.main(
-                [
-                    "query", "--store", str(v1_store_dir),
-                    "--start", "2020-02-19", "--end", "2020-02-21",
-                    "--group-by", "transport", "--agg", "bytes,flows",
-                    "--json",
-                ]
-            )
-            assert code == 0
-            return json.loads(capsys.readouterr().out)["rows"]
-
-        before = run_query()
-        cli.main(["store", "migrate", str(v1_store_dir), "--to", "v2"])
-        assert run_query() == before
-        cli.main(["store", "migrate", str(v1_store_dir), "--to", "v1"])
-        assert run_query() == before
-
-    def test_migrate_rejects_unknown_format(self, v1_store_dir):
-        with pytest.raises(SystemExit):
-            cli.main(
-                ["store", "migrate", str(v1_store_dir), "--to", "v4"]
-            )
-
-
 class TestStoreStats:
     @pytest.fixture
     def v3_store_dir(self, tmp_path):
@@ -329,7 +269,8 @@ class TestStoreStats:
         capsys.readouterr()
         assert cli.main(["store", "stats", str(v3_store_dir)]) == 0
         out = capsys.readouterr().out
-        assert "v3: 3" in out
+        assert "(3 partition(s))" in out
+        assert "unreadable" not in out
         for column in ("proto", "hour", "n_bytes", "total"):
             assert column in out
         assert "dict" in out and "delta" in out
@@ -340,20 +281,57 @@ class TestStoreStats:
             ["store", "stats", str(v3_store_dir), "--json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["partitions"] == {"v3": 3}
-        assert payload["total_stored_nbytes"] < \
+        assert payload["partitions"] == 3
+        assert payload["unreadable"] == {}
+        assert 0 < payload["total_stored_nbytes"] < \
             payload["total_raw_nbytes"]
         proto = payload["columns"]["proto"]
         assert "dict" in proto["encodings"]
         assert proto["max_cardinality"] >= 2
 
+    @staticmethod
+    def _age_all(root):
+        store = FlowStore(root)
+        for day in store.days():
+            age_partition(root, day, store.read_day(day), None)
+
     def test_stats_on_v1_store(self, v3_store_dir, capsys):
-        cli.main(["store", "migrate", str(v3_store_dir), "--to", "v1"])
+        # A store whose every day is a v1 archive has nothing readable:
+        # the report names each day instead of printing empty totals.
+        self._age_all(v3_store_dir)
         capsys.readouterr()
         assert cli.main(["store", "stats", str(v3_store_dir)]) == 0
         out = capsys.readouterr().out
-        assert "v1: 3" in out
-        assert "v1 archives only" in out
+        assert "3 unreadable partition(s)" in out
+        for day in ("2020-02-19", "2020-02-20", "2020-02-21"):
+            assert f"  {day}: partition for {day} has no format" in out
+        assert "no readable partitions to report" in out
+
+    def test_stats_reports_unreadable_partitions(
+        self, v3_store_dir, capsys
+    ):
+        capsys.readouterr()
+        cli.main(["store", "stats", str(v3_store_dir), "--json"])
+        intact = json.loads(capsys.readouterr().out)
+        store = FlowStore(v3_store_dir)
+        old = dt.date(2020, 2, 19)
+        age_partition(v3_store_dir, old, store.read_day(old), 2)
+        flip_byte(v3_store_dir / "2020-02-21" / "sidecar.json")
+        assert cli.main(
+            ["store", "stats", str(v3_store_dir), "--json"]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["partitions"] == 3
+        unreadable = payload["unreadable"]
+        assert sorted(unreadable) == ["2020-02-19", "2020-02-21"]
+        assert "format 2" in unreadable["2020-02-19"]
+        assert "corrupt" in unreadable["2020-02-21"]
+        # Only the one readable day is in the totals.
+        assert 0 < payload["total_raw_nbytes"] < intact["total_raw_nbytes"]
+        assert cli.main(["store", "stats", str(v3_store_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "2 unreadable partition(s), left out of the totals" in out
+        assert "  2020-02-19: " in out and "  2020-02-21: " in out
 
 
 class TestQueryExplain:

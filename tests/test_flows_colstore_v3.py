@@ -1,11 +1,12 @@
 """Tests for the v3 columnar format and its predicate-first scan path.
 
-Covers the ISSUE-10 acceptance surface: per-column encodings chosen at
-seal time, bitmap indexes evaluated before row materialization, the
-cost-based bitmap-vs-scan planner, v1↔v2↔v3 migration round-trips,
-unknown-encoding degradation to the raw fallback, corruption drills on
-individual ``segments.bin`` parts, ``REPRO_NO_COLSTORE_V3`` escape-hatch
-parity, and process-pool scans over pickled v3 handles.
+Covers per-column encodings chosen at seal time, bitmap indexes
+evaluated before row materialization, the cost-based bitmap-vs-scan
+planner, unknown-encoding degradation to the raw fallback, corruption
+drills on individual ``segments.bin`` parts, sidecars of another format,
+and process-pool scans over pickled handles.  Query answers are checked
+against a plain-numpy evaluation of the in-memory flow table
+(:mod:`tests.query_reference`).
 """
 
 import datetime as dt
@@ -15,18 +16,14 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro import timebase
 from repro.flows import colstore, encodings
-from repro.flows.io import file_sha256
-from repro.flows.store import (
-    FORMAT_V1,
-    FORMAT_V2,
-    FORMAT_V3,
-    FlowStore,
-    FlowStoreError,
-)
+from repro.flows.store import FORMAT_V3, FlowStore, FlowStoreError
 from repro.flows.table import COLUMNS
-from repro.query import QuerySpec, execute_query, plan_query
+from repro.query import QuerySpec, engine, execute_query, plan_query
 from repro.query.procpool import ScanPool
+from tests.query_reference import assert_matches
+from tests.store_drills import age_partition, rewrite_sidecar
 
 START = dt.date(2020, 2, 19)
 END = dt.date(2020, 2, 25)
@@ -39,18 +36,9 @@ def week_flows(scenario):
 
 
 @pytest.fixture
-def v2_store(tmp_path, week_flows):
-    store = FlowStore(tmp_path / "v2")
-    store.write_range(week_flows, START, END,
-                      partition_format=FORMAT_V2)
-    return store
-
-
-@pytest.fixture
 def v3_store(tmp_path, week_flows):
     store = FlowStore(tmp_path / "v3")
-    store.write_range(week_flows, START, END,
-                      partition_format=FORMAT_V3)
+    store.write_range(week_flows, START, END)
     return store
 
 
@@ -82,17 +70,16 @@ PARITY_SPECS = (
 
 
 def _rewrite_sidecar(store, day, mutate):
-    """Hand-edit one sidecar and re-chain the manifest hash to it."""
-    day_dir = store.root / day.isoformat()
-    path = day_dir / colstore.SIDECAR
-    sidecar = json.loads(path.read_text())
-    mutate(sidecar)
-    path.write_text(json.dumps(sidecar, indent=2, sort_keys=True))
-    manifest_path = store.root / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest[day.isoformat()]["sha256"] = file_sha256(path)
-    manifest_path.write_text(json.dumps(manifest))
+    """Hand-edit one sidecar; return the store reopened."""
+    rewrite_sidecar(store.root, day, mutate)
     return FlowStore(store.root)
+
+
+def _day_rows(flows, day):
+    """``day``'s rows of ``flows``, in input order."""
+    hours = flows.column("hour")
+    start = timebase.hour_index(day, 0)
+    return flows.filter((hours >= start) & (hours < start + 24))
 
 
 class TestLayout:
@@ -100,8 +87,9 @@ class TestLayout:
         day_dir = v3_store.root / START.isoformat()
         names = sorted(p.name for p in day_dir.iterdir())
         assert names == sorted([colstore.SIDECAR, colstore.DATA_FILE])
-        assert v3_store.partition_format(START) == FORMAT_V3
-        assert v3_store.open_partition(START).format == FORMAT_V3
+        manifest = json.loads((v3_store.root / "manifest.json").read_text())
+        assert manifest[START.isoformat()]["format"] == FORMAT_V3
+        assert v3_store.open_partition(START).sidecar["format"] == FORMAT_V3
 
     def test_parts_are_aligned_and_hashed(self, v3_store):
         sidecar = v3_store.open_partition(START).sidecar
@@ -129,93 +117,41 @@ class TestLayout:
         for name, column in stats.items():
             assert 0 < column["stored_nbytes"] <= column["raw_nbytes"]
 
-    def test_partition_compresses_versus_v2(self, v3_store, v2_store):
-        v3_bytes = v3_store.partition_disk_bytes(START)
-        v2_bytes = v2_store.partition_disk_bytes(START)
-        assert 0 < v3_bytes < v2_bytes
+    def test_partition_compresses_versus_v2(self, v3_store):
+        # v2 stored every column raw: the sidecar's raw byte sizes.
+        partition = v3_store.open_partition(START)
+        raw_bytes = sum(
+            meta["nbytes"] for meta in partition.sidecar["columns"].values()
+        )
+        assert 0 < partition.column_nbytes(tuple(COLUMNS)) < raw_bytes
 
     def test_column_stats_aggregate(self, v3_store):
-        stats = v3_store.column_stats()
+        stats, unreadable = v3_store.column_stats()
+        assert unreadable == {}
         assert set(stats) == set(COLUMNS)
         assert encodings.DICT in stats["proto"]["encodings"]
         assert stats["proto"]["stored_nbytes"] < \
             stats["proto"]["raw_nbytes"]
         assert stats["proto"]["max_cardinality"] >= 2
 
-    def test_read_day_round_trips(self, v2_store, v3_store):
+    def test_read_day_round_trips(self, v3_store, week_flows):
         for day in v3_store.days():
-            v2 = v2_store.read_day(day)
             v3 = v3_store.read_day(day)
             for name in COLUMNS:
                 assert v3.column(name).dtype == COLUMNS[name]
-                assert np.array_equal(v2.column(name), v3.column(name))
+            assert v3 == _day_rows(week_flows, day)
 
     def test_empty_partition_round_trips(self, tmp_path, week_flows):
         store = FlowStore(tmp_path / "empty3")
         empty = week_flows.filter(
             np.zeros(len(week_flows), dtype=bool)
         )
-        store.write_day(START, empty, partition_format=FORMAT_V3)
+        store.write_day(START, empty)
         assert len(store.read_day(START)) == 0
         partition = store.open_partition(START)
         assert partition.rows == 0
         bundle, _ = partition.load(("proto", "n_bytes"))
         assert len(bundle) == 0
-
-
-class TestMigration:
-    def test_v1_v2_v3_v1_round_trip(self, tmp_path, week_flows):
-        store = FlowStore(tmp_path / "mig")
-        store.write_range(week_flows, START, END,
-                          partition_format=FORMAT_V1)
-        before = {day: store.read_day(day) for day in store.days()}
-        v1_token = store.state_token()
-        tokens = [v1_token]
-        for target in (FORMAT_V2, FORMAT_V3, FORMAT_V1):
-            assert store.migrate(target) == len(before)
-            assert store.format_counts() == {target: len(before)}
-            tokens.append(store.state_token())
-            for day, table in before.items():
-                after = store.read_day(day)
-                assert len(after) == len(table)
-                for name in COLUMNS:
-                    assert np.array_equal(
-                        after.column(name), table.column(name)
-                    )
-        # Each format change moves the cache token, and the round trip
-        # back to v1 restores bit-identical archives — same token.
-        assert len(set(tokens[:3])) == 3
-        assert tokens[-1] == v1_token
-
-    def test_migrate_v3_is_idempotent(self, v2_store):
-        assert v2_store.migrate(FORMAT_V3) == 7
-        assert v2_store.migrate(FORMAT_V3) == 0
-
-    def test_v3_dir_replaces_v2_segments(self, v2_store):
-        v2_store.migrate(FORMAT_V3)
-        day_dir = v2_store.root / START.isoformat()
-        assert (day_dir / colstore.DATA_FILE).is_file()
-        assert list(day_dir.glob("*.npy")) == []
-
-    def test_mixed_formats_answer_identically(self, tmp_path, week_flows,
-                                              v3_store):
-        from repro import timebase
-        store = FlowStore(tmp_path / "mixed")
-        hours = week_flows.column("hour")
-        formats = (FORMAT_V1, FORMAT_V2, FORMAT_V3)
-        for i, day in enumerate(timebase.iter_days(START, END)):
-            day_start = timebase.hour_index(day, 0)
-            mask = (hours >= day_start) & (hours < day_start + 24)
-            store.write_day(day, week_flows.filter(mask),
-                            partition_format=formats[i % 3])
-        assert store.format_counts() == \
-            {FORMAT_V1: 3, FORMAT_V2: 2, FORMAT_V3: 2}
-        for kwargs in PARITY_SPECS:
-            spec = _spec(**kwargs)
-            mixed = execute_query(store, spec)
-            pure = execute_query(v3_store, spec)
-            assert mixed.rows == pure.rows
-            assert mixed.rows_matched == pure.rows_matched
 
 
 class TestPlanner:
@@ -241,12 +177,23 @@ class TestPlanner:
         assert plan.strategy_counts() == {"sidecar": 7}
         assert plan.estimated_bytes == 0
 
-    def test_v2_partitions_never_plan_bitmap(self, v2_store):
-        plan = plan_query(
-            v2_store,
-            _spec(where={"proto": 17}, aggregates=["bytes"]),
-        )
-        assert plan.strategy_counts().get("bitmap", 0) == 0
+    def test_v2_partitions_never_plan_bitmap(self, v3_store, week_flows):
+        # A partition left in format 2 is planned as unreadable, with
+        # no estimated bytes, and the scan fails it.
+        age_partition(v3_store.root, MID, _day_rows(week_flows, MID), 2)
+        aged = FlowStore(v3_store.root)
+        spec = _spec(where={"proto": 17}, aggregates=["bytes"])
+        plan = plan_query(aged, spec)
+        strategies = dict(zip(plan.days, plan.day_strategies))
+        assert strategies.pop(MID) == "unreadable"
+        assert set(strategies.values()) == {"bitmap"}
+        alone = plan_query(aged, _spec(where={"proto": 17},
+                                       aggregates=["bytes"],
+                                       start=MID, end=MID))
+        assert alone.day_strategies == ("unreadable",)
+        assert alone.estimated_bytes == 0
+        result = execute_query(aged, spec)
+        assert [f.day for f in result.partitions_failed] == [MID.isoformat()]
 
     def test_bitmap_estimate_below_scan_estimate(self, v3_store):
         filtered = _spec(where={"proto": 17},
@@ -257,29 +204,24 @@ class TestPlanner:
         assert 0 < plan_query(v3_store, filtered).estimated_bytes < \
             plan_query(v3_store, unfiltered).estimated_bytes
 
-    def test_escape_hatch_disables_bitmap_planning(
-        self, v3_store, monkeypatch
-    ):
-        spec = _spec(where={"proto": 17}, aggregates=["bytes"])
-        monkeypatch.setenv(colstore.DISABLE_V3_ENV, "1")
-        plan = plan_query(v3_store, spec)
-        assert plan.strategy_counts().get("bitmap", 0) == 0
-        assert len(plan.days) >= 1
-
 
 class TestBitmapScan:
     def test_filtered_scan_reads_fewer_bytes_than_v2(
-        self, v3_store, v2_store
+        self, v3_store, week_flows
     ):
-        # The ISSUE-10 acceptance claim: the same narrow filtered query
-        # touches fewer bytes on v3 (encoded parts + gathered rows)
-        # than on v2 (full raw segments of every projected column).
+        # The same narrow filtered query touches fewer bytes on v3
+        # (encoded parts + gathered rows) than v2 read (the full raw
+        # segments of every projected column).
         spec = _spec(where={"proto": 17}, group_by=["service_port"],
                      aggregates=["bytes"])
         v3 = execute_query(v3_store, spec)
-        v2 = execute_query(v2_store, spec)
-        assert v3.rows == v2.rows
-        assert 0 < v3.bytes_read < v2.bytes_read
+        raw_bytes = sum(
+            v3_store.open_partition(day).sidecar["columns"][name]["nbytes"]
+            for day in v3_store.days()
+            for name in spec.referenced_columns()
+        )
+        assert_matches(v3, week_flows, spec)
+        assert 0 < v3.bytes_read < raw_bytes
 
     def test_bitmap_counters_fire(self, v3_store):
         obs.configure(telemetry=True)
@@ -324,63 +266,89 @@ class TestBitmapScan:
             bundle.column("n_bytes"), table.column("n_bytes")[mask]
         )
 
-    def test_derived_key_predicate_parity(self, v3_store, v2_store):
+    def test_derived_key_predicate_parity(self, v3_store, week_flows):
         spec = _spec(where={"transport": 2},
                      group_by=["service_port"], aggregates=["bytes"])
-        assert execute_query(v3_store, spec).rows == \
-            execute_query(v2_store, spec).rows
+        assert_matches(execute_query(v3_store, spec), week_flows, spec)
 
-    def test_rejects_non_v3_partition(self, v2_store):
-        partition = v2_store.open_partition(START)
-        spec = _spec(where={"proto": 17}, aggregates=["bytes"])
-        with pytest.raises(FlowStoreError, match="not a v3"):
-            partition.load_filtered(spec.where, ("n_bytes",))
+    def test_rejects_non_v3_partition(self, v3_store):
+        # A sidecar of another format is refused even when the manifest
+        # vouches for its bytes.
+        def _downgrade(sidecar):
+            sidecar["format"] = 2
+
+        reopened = _rewrite_sidecar(v3_store, MID, _downgrade)
+        with pytest.raises(
+            FlowStoreError,
+            match="unsupported format 2.*repro generate --store",
+        ):
+            reopened.open_partition(MID)
+
+
+class TestReferenceParity:
+    def test_parity_specs_match_reference(self, v3_store, week_flows):
+        strategies = set()
+        for kwargs in PARITY_SPECS:
+            spec = _spec(**kwargs)
+            strategies.update(plan_query(v3_store, spec).day_strategies)
+            assert_matches(execute_query(v3_store, spec), week_flows, spec)
+        # Between them the specs plan every strategy.
+        assert strategies == {"sidecar", "scan", "bitmap"}
+
+
+class TestMigration:
+    def test_mixed_formats_answer_identically(self, tmp_path, week_flows,
+                                              v3_store):
+        """Partitions left in old formats fail alone, and re-sealing
+        them migrates the store to answers identical to a pure one."""
+        store = FlowStore(tmp_path / "mixed")
+        store.write_range(week_flows, START, END)
+        aged = {MID: 2, END: None}
+        for day, fmt in aged.items():
+            age_partition(store.root, day, _day_rows(week_flows, day), fmt)
+        store = FlowStore(store.root)
+        spec = _spec(group_by=["proto"], aggregates=["bytes", "flows"])
+        failed = execute_query(store, spec).partitions_failed
+        assert sorted(f.day for f in failed) == \
+            sorted(day.isoformat() for day in aged)
+        for day in aged:
+            store.write_day(day, _day_rows(week_flows, day))
+        assert list((store.root / MID.isoformat()).glob("*.npy")) == []
+        for kwargs in PARITY_SPECS:
+            spec = _spec(**kwargs)
+            mixed = execute_query(store, spec)
+            pure = execute_query(v3_store, spec)
+            assert mixed.partitions_failed == []
+            assert mixed.rows == pure.rows
+            assert mixed.rows_matched == pure.rows_matched
+            assert mixed.rows_scanned == pure.rows_scanned
 
 
 class TestModeEquivalence:
-    def test_v3_escape_hatch_bit_identical(self, tmp_path, week_flows,
-                                           monkeypatch):
-        monkeypatch.setenv(colstore.DISABLE_V3_ENV, "1")
-        hatch = FlowStore(tmp_path / "hatch")
-        hatch.write_range(week_flows, START, END)
-        assert hatch.format_counts() == {FORMAT_V2: 7}
-        monkeypatch.delenv(colstore.DISABLE_V3_ENV)
-        default = FlowStore(tmp_path / "default")
-        default.write_range(week_flows, START, END)
-        assert default.format_counts() == {FORMAT_V3: 7}
+    def test_v3_escape_hatch_bit_identical(self, v3_store, monkeypatch):
+        """Predicate-first bitmap scans give the plain projected scan's
+        answer."""
+        bitmap_used = False
         for kwargs in PARITY_SPECS:
             spec = _spec(**kwargs)
+            plan = plan_query(v3_store, spec)
+            bitmap_used |= "bitmap" in plan.day_strategies
+            default = execute_query(v3_store, spec).to_dict()
             with monkeypatch.context() as patch:
-                patch.setenv(colstore.DISABLE_V3_ENV, "1")
-                forced = execute_query(hatch, spec).to_dict()
-            v3 = execute_query(default, spec).to_dict()
-            for payload in (forced, v3):
+                patch.setattr(
+                    engine, "_partition_strategy",
+                    lambda partition, spec: ("scan", partition.column_nbytes(
+                        spec.referenced_columns())),
+                )
+                assert "bitmap" not in \
+                    plan_query(v3_store, spec).day_strategies
+                forced = execute_query(v3_store, spec).to_dict()
+            for payload in (forced, default):
                 for volatile in ("wall_s", "bytes_read", "columns_loaded",
                                  "stages", "plan"):
                     payload.pop(volatile)
-            assert forced == v3
-
-    def test_v3_store_readable_under_escape_hatch(
-        self, v3_store, monkeypatch
-    ):
-        # The env var steers *new* writes and the bitmap planner; a
-        # store already sealed as v3 must stay fully readable.
-        spec = _spec(where={"proto": 17}, group_by=["service_port"],
-                     aggregates=["bytes"])
-        default = execute_query(v3_store, spec)
-        monkeypatch.setenv(colstore.DISABLE_V3_ENV, "1")
-        hatched = execute_query(v3_store, spec)
-        assert default.rows == hatched.rows
-        assert default.rows_matched == hatched.rows_matched
-
-    def test_mode_token_three_way(self, monkeypatch):
-        monkeypatch.delenv(colstore.DISABLE_ENV, raising=False)
-        monkeypatch.delenv(colstore.DISABLE_V3_ENV, raising=False)
-        assert colstore.mode_token() == "colstore-v3"
-        monkeypatch.setenv(colstore.DISABLE_V3_ENV, "1")
-        assert colstore.mode_token() == "colstore"
-        monkeypatch.setenv(colstore.DISABLE_ENV, "1")
-        assert colstore.mode_token() == "full-load"
+            assert forced == default
+        assert bitmap_used
 
 
 class TestIntegrity:

@@ -13,14 +13,9 @@ import repro.obs as obs
 from repro import timebase
 from repro.core.streaming import StreamingAggregator
 from repro.flows import colstore
-from repro.flows.store import (
-    FORMAT_V1,
-    FORMAT_V2,
-    FORMAT_V3,
-    FlowStore,
-    FlowStoreError,
-)
+from repro.flows.store import FlowStore, FlowStoreError
 from repro.flows.table import COLUMNS, FlowTable
+from tests.store_drills import flip_byte, rewrite_sidecar
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +196,8 @@ class TestRangeEdgeCases:
         store.write_day(day, day_flows.head(7))
         assert store.read_day(day) == day_flows.head(7)
         assert store.state_token() != before
-        assert list(store.root.glob("*.tmp.npz")) == []
+        assert list(store.root.glob("*.tmp")) == []
+        assert list(store.root.glob("*.old")) == []
 
     def test_day_flows_tracks_manifest(self, store, three_day_flows):
         day = dt.date(2020, 2, 19)
@@ -288,13 +284,10 @@ class TestWriteRangeOnePass:
         order = np.random.default_rng(11).permutation(len(three_day_flows))
         return three_day_flows.take(order)
 
-    @pytest.mark.parametrize("fmt", [FORMAT_V2, FORMAT_V3])
-    def test_matches_per_day_writes_byte_for_byte(
-        self, tmp_path, shuffled, fmt
-    ):
-        ranged = FlowStore(tmp_path / "ranged", default_format=fmt)
+    def test_matches_per_day_writes_byte_for_byte(self, tmp_path, shuffled):
+        ranged = FlowStore(tmp_path / "ranged")
         ranged.write_range(shuffled, *self.DAYS)
-        daily = FlowStore(tmp_path / "daily", default_format=fmt)
+        daily = FlowStore(tmp_path / "daily")
         hours = shuffled.column("hour")
         for day in timebase.iter_days(*self.DAYS):
             start = timebase.hour_index(day, 0)
@@ -323,10 +316,10 @@ class TestWriteRangeOnePass:
     ):
         real_write = colstore.RangeSeal.write
 
-        def write(seal, i, final_dir, fmt):
+        def write(seal, i, final_dir):
             if i == 3:
                 raise OSError("disk full")
-            return real_write(seal, i, final_dir, fmt)
+            return real_write(seal, i, final_dir)
 
         monkeypatch.setattr(colstore.RangeSeal, "write", write)
         with pytest.raises(OSError, match="disk full"):
@@ -346,11 +339,11 @@ class TestWriteRangeOnePass:
         seen = []
         real_write = colstore.RangeSeal.write
 
-        def write(seal, i, final_dir, fmt):
+        def write(seal, i, final_dir):
             # Memoize the token as each day starts; the day before it
             # has just been listed, so no two may be equal.
             seen.append(store.state_token())
-            return real_write(seal, i, final_dir, fmt)
+            return real_write(seal, i, final_dir)
 
         monkeypatch.setattr(colstore.RangeSeal, "write", write)
         store.write_range(shuffled, *self.DAYS)
@@ -362,48 +355,60 @@ class TestWriteRangeOnePass:
 
 
 class TestIntegrity:
-    # These drills corrupt v1 .npz archives directly; the equivalent
-    # v2 sidecar/segment drills live in test_flows_colstore.py.
+    # Whole-partition drills on the data file and sidecar; the per-part
+    # drills live in test_flows_colstore*.py.
+    DAY = dt.date(2020, 2, 20)
+
     @pytest.fixture
     def populated(self, store, three_day_flows):
         store.write_range(three_day_flows, dt.date(2020, 2, 19),
-                          dt.date(2020, 2, 21),
-                          partition_format=FORMAT_V1)
+                          dt.date(2020, 2, 21))
         return store
+
+    def _data_file(self, store):
+        return store.root / self.DAY.isoformat() / colstore.DATA_FILE
 
     def test_manifest_records_checksums(self, populated):
         for entry in populated._manifest.values():
             assert len(entry["sha256"]) == 64
 
     def test_corrupt_partition_raises_flow_store_error(self, populated):
-        victim = populated.root / "2020-02-20.npz"
-        payload = bytearray(victim.read_bytes())
-        payload[len(payload) // 2] ^= 0xFF
-        victim.write_bytes(bytes(payload))
+        flip_byte(self._data_file(populated))
         with pytest.raises(FlowStoreError, match="corrupt"):
-            populated.read_day(dt.date(2020, 2, 20))
+            populated.read_day(self.DAY)
 
     def test_truncated_partition_raises_flow_store_error(self, populated):
-        victim = populated.root / "2020-02-20.npz"
+        victim = self._data_file(populated)
         victim.write_bytes(victim.read_bytes()[:100])
         with pytest.raises(FlowStoreError, match="corrupt"):
-            populated.read_day(dt.date(2020, 2, 20))
+            populated.read_day(self.DAY)
 
     def test_missing_partition_file_raises(self, populated):
-        (populated.root / "2020-02-20.npz").unlink()
-        with pytest.raises(FlowStoreError, match="missing"):
-            populated.read_day(dt.date(2020, 2, 20))
+        self._data_file(populated).unlink()
+        with pytest.raises(
+            FlowStoreError, match="data file.*cannot be read"
+        ):
+            populated.read_day(self.DAY)
 
     def test_unverifiable_archive_without_checksum_raises(
         self, populated
     ):
-        # Legacy manifests have no checksum; a broken archive must
-        # still surface as FlowStoreError (from the parse), not as a
-        # zipfile internal error.
-        del populated._manifest["2020-02-20"]["sha256"]
-        (populated.root / "2020-02-20.npz").write_bytes(b"not a zip")
-        with pytest.raises(FlowStoreError, match="cannot be read"):
-            populated.read_day(dt.date(2020, 2, 20))
+        # A manifest entry without a checksum cannot vouch for its
+        # sidecar; a broken one must still surface as FlowStoreError
+        # (from the parse), not as a json internal error.
+        del populated._manifest[self.DAY.isoformat()]["sha256"]
+        sidecar = populated.root / self.DAY.isoformat() / colstore.SIDECAR
+        sidecar.write_bytes(b"not json")
+        with pytest.raises(FlowStoreError, match="cannot be parsed"):
+            populated.read_day(self.DAY)
+
+    def test_row_count_mismatch_raises(self, populated):
+        def _lie(sidecar):
+            sidecar["rows"] += 1
+
+        rewrite_sidecar(populated.root, self.DAY, _lie)
+        with pytest.raises(FlowStoreError, match="sidecar reports"):
+            FlowStore(populated.root).read_day(self.DAY)
 
     def test_state_token_stable_across_reopen(self, populated):
         reopened = FlowStore(populated.root)
@@ -436,7 +441,6 @@ class TestStateTokenMemo:
             lambda: store.write_day(day, day_flows),
             lambda: store.write_day(day, day_flows.head(5)),
             lambda: store.write_day(dt.date(2020, 2, 20), FlowTable.empty()),
-            lambda: store.migrate(FORMAT_V1),
             lambda: store.delete_day(day),
         ]
         for mutate in mutations:

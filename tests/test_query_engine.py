@@ -190,13 +190,7 @@ class TestFailureHandling:
     def flaky_store(self, tmp_path, week_flows):
         store = FlowStore(tmp_path / "flaky")
         store.write_range(week_flows, START, END)
-        # Corrupt whichever partition format was written: the sidecar
-        # of a v2 directory, or the v1 archive itself.
-        day_dir = store.root / "2020-02-21"
-        if day_dir.is_dir():
-            victim = day_dir / "sidecar.json"
-        else:
-            victim = store.root / "2020-02-21.npz"
+        victim = store.root / "2020-02-21" / "sidecar.json"
         payload = bytearray(victim.read_bytes())
         payload[len(payload) // 2] ^= 0xFF
         victim.write_bytes(bytes(payload))
