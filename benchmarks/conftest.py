@@ -22,7 +22,7 @@ import pytest
 
 from repro import build_scenario
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline import PipelineConfig
+from repro.experiments import PipelineConfig
 
 #: Where the perf trajectory accumulates (repo root).
 BENCH_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_results.json"

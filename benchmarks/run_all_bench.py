@@ -13,15 +13,12 @@ Times the full experiment sweep five ways —
   (a new process reusing a previous run's archives; zero flow
   generation),
 
-plus an optional pool three-way (``--jobs N``) timing the same sweep
-serially, on N worker threads, and on N worker processes — recorded
-as ``threads-N`` / ``procs-N`` with the pool kind and width each
-executor actually used (the old single ``jobs-N`` key hid which pool
-ran) — and appends one entry to ``BENCH_results.json`` in the repo's
-``{"runs": [...]}`` history format.  The script exits non-zero — and records ``exit_status`` —
-if any experiment's checks fail in any mode or the modes disagree,
-so a cache- or executor-induced regression cannot slip through as a
-"fast" result.  ``--fail-on-regression`` additionally compares the
+plus an optional ``--jobs N`` sweep on up to N worker threads —
+recorded as ``threads-N`` — and appends one entry to ``BENCH_results.json`` in the
+repo's ``{"runs": [...]}`` history format.  The script exits non-zero
+— and records ``exit_status`` — if any experiment's checks fail in any
+mode or the modes disagree, so a cache- or executor-induced regression
+cannot slip through as a "fast" result.  ``--fail-on-regression`` additionally compares the
 warm-memory sweep against the latest recorded baseline with the same
 fidelity and fails on a >20% slowdown (tune with
 ``--regression-threshold``).
@@ -162,25 +159,15 @@ def main(argv=None) -> int:
 
     pools: Dict[str, Dict[str, object]] = {}
     if args.jobs > 1:
-        from repro.experiments import make_executor
-
-        for pool, label in (("thread", "threads"), ("process", "procs")):
-            executor = make_executor(args.jobs, pool=pool)
-            mode = f"{label}-{args.jobs}"
-            with datasets.use_cache(datasets.DatasetCache()):
-                t0 = time.perf_counter()
-                pool_results = run_all(
-                    scenario, config, executor=executor, on_error="capture"
-                )
-                walls[f"{KEY}[{mode}]"] = time.perf_counter() - t0
-            sweeps[mode] = _checks(pool_results)
-            # Record what actually ran: a spawn-only platform silently
-            # downgrades "process" to the thread fallback.
-            pools[mode] = {
-                "requested": pool,
-                "kind": executor.kind,
-                "width": executor.width,
-            }
+        mode = f"threads-{args.jobs}"
+        with datasets.use_cache(datasets.DatasetCache()):
+            t0 = time.perf_counter()
+            pool_results = run_all(
+                scenario, config, jobs=args.jobs, on_error="capture"
+            )
+            walls[f"{KEY}[{mode}]"] = time.perf_counter() - t0
+        sweeps[mode] = _checks(pool_results)
+        pools[mode] = {"kind": "thread", "jobs": args.jobs}
 
     problems: List[str] = []
     baseline = sweeps["cache-off"]

@@ -8,7 +8,7 @@ seeds and re-checks the §3.1 growth bands and the Fig 10 VPN contrast.
 import pytest
 
 from repro import build_scenario
-from repro.pipeline import PipelineConfig, run_fig03, run_fig10
+from repro.experiments import PipelineConfig, run_fig03, run_fig10
 
 SEEDS = (20200316, 1234, 987654)
 

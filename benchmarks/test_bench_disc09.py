@@ -7,7 +7,7 @@ some are pushed past a 80%-utilization planning threshold — matching
 the observed wave of port upgrades.
 """
 
-from repro.pipeline import run_disc09
+from repro.experiments import run_disc09
 
 
 def test_disc09_peak_valley(benchmark, scenario, config, report):

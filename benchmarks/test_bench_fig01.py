@@ -5,7 +5,7 @@ calendar week, normalized by the third week of January, for the ISP,
 the three IXPs, the mobile operator, and the roaming exchange.
 """
 
-from repro.pipeline import run_fig01
+from repro.experiments import run_fig01
 
 
 def test_fig01_weekly_traffic(benchmark, scenario, config, report):

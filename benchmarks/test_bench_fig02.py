@@ -5,7 +5,7 @@ Reproduces the hourly profiles of Wed Feb 19 / Sat Feb 22 / Wed Mar 25
 January-May for ISP-CE and IXP-CE (Figs 2b, 2c).
 """
 
-from repro.pipeline import run_fig02
+from repro.experiments import run_fig02
 
 
 def test_fig02_pattern_shift(benchmark, scenario, config, report):

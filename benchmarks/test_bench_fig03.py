@@ -6,7 +6,7 @@ persisting at the IXPs; also checks that the IXPs' minimum traffic
 levels rise (correlating with the port-capacity upgrades).
 """
 
-from repro.pipeline import run_fig03
+from repro.experiments import run_fig03
 
 
 def test_fig03_macro_weeks(benchmark, scenario, config, report):

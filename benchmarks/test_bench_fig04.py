@@ -7,7 +7,7 @@ the week-12-to-13 stabilization/decline following the video-resolution
 reduction.
 """
 
-from repro.pipeline import run_fig04
+from repro.experiments import run_fig04
 
 
 def test_fig04_hypergiants(benchmark, scenario, config, report):

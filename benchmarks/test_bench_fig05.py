@@ -6,7 +6,7 @@ shift right, and ~1,500 Gbps of member port upgrades land during the
 lockdown window.
 """
 
-from repro.pipeline import run_fig05
+from repro.experiments import run_fig05
 
 
 def test_fig05_link_utilization(benchmark, scenario, config, report):

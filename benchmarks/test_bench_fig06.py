@@ -7,7 +7,7 @@ top-left quadrant of businesses that shrink overall while their
 residential traffic grows.
 """
 
-from repro.pipeline import run_fig06
+from repro.experiments import run_fig06
 
 
 def test_fig06_remote_work_scatter(benchmark, scenario, config, report):

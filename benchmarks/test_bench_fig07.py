@@ -7,7 +7,7 @@ workdays only, TCP/8080 flat, GRE/ESP down at the IXP, Zoom up an
 order of magnitude at the ISP, IMAP-TLS +60%).
 """
 
-from repro.pipeline import run_fig07
+from repro.experiments import run_fig07
 
 
 def test_fig07_port_analysis(benchmark, scenario, config, report):

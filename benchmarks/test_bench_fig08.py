@@ -6,7 +6,7 @@ min/avg/max envelopes): the steep rise from the lockdown week and the
 two-day dip matching the gaming-provider outage.
 """
 
-from repro.pipeline import run_fig08
+from repro.experiments import run_fig08
 
 
 def test_fig08_gaming(benchmark, scenario, config, report):

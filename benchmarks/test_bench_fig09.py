@@ -9,7 +9,7 @@ ISP-CE while falling in the US, gaming growing coherently at the IXPs,
 and the social-media spike flattening in stage 2.
 """
 
-from repro.pipeline import run_fig09
+from repro.experiments import run_fig09
 
 
 def test_fig09_app_class_heatmaps(benchmark, scenario, config, report):

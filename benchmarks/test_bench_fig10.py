@@ -8,7 +8,7 @@ comparatively flat, with weaker weekend growth and a partial recession
 in April.
 """
 
-from repro.pipeline import run_fig10
+from repro.experiments import run_fig10
 
 
 def test_fig10_vpn_shift(benchmark, scenario, config, report):

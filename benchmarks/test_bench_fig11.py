@@ -6,7 +6,7 @@ weekends roughly stable) and the ingress/egress byte ratio collapsing
 from ~15x toward parity.
 """
 
-from repro.pipeline import run_fig11
+from repro.experiments import run_fig11
 
 
 def test_fig11_edu_volume(benchmark, scenario, config, report):

@@ -7,7 +7,7 @@ direction; median incoming connections doubling while outgoing nearly
 halve and the total grows ~24%.
 """
 
-from repro.pipeline import run_fig12
+from repro.experiments import run_fig12
 
 
 def test_fig12_edu_connections(benchmark, scenario, config, report):

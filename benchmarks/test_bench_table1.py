@@ -5,7 +5,7 @@ counts exactly (per class: number of filters, distinct ASNs, distinct
 transport ports; 53 combinations in total).
 """
 
-from repro.pipeline import run_table1
+from repro.experiments import run_table1
 
 
 def test_table1_filters(benchmark, report):

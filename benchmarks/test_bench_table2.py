@@ -4,7 +4,7 @@ Verifies the registry reproduces the paper's Appendix A table verbatim
 (15 organizations with their ASNs).
 """
 
-from repro.pipeline import run_table2
+from repro.experiments import run_table2
 
 
 def test_table2_hypergiants(benchmark, report):

@@ -6,8 +6,7 @@ Public API:
 * :mod:`repro.core` — the paper's analyses (one module per figure
   family),
 * :mod:`repro.experiments` — end-to-end experiment registry and
-  runners regenerating every table and figure (``repro.pipeline``
-  remains as a compatibility shim over the same surface),
+  runners regenerating every table and figure,
 * :mod:`repro.flows` / :mod:`repro.netbase` / :mod:`repro.dns` — the
   substrates (flow tables, network metadata, domain corpus).
 """

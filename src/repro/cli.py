@@ -35,13 +35,11 @@ from typing import Dict, List, Optional, Sequence
 
 import repro.obs as obs
 from repro.flows import io as flow_io
-from repro.experiments import make_executor
-from repro.pipeline import (
+from repro.experiments import (
     EXPERIMENTS,
     ExperimentResult,
     PipelineConfig,
     run_all,
-    run_experiment,
 )
 from repro.synth import datasets
 from repro.synth.scenario import DEFAULT_SEED, build_scenario
@@ -107,28 +105,6 @@ def _cmd_list(_: argparse.Namespace) -> int:
     return 0
 
 
-def _run_serial(
-    ids: List[str], scenario, config, logger, verbose: bool
-) -> List[ExperimentResult]:
-    results = []
-    for experiment_id in ids:
-        try:
-            result = run_experiment(experiment_id, scenario, config)
-        except Exception as exc:
-            # A crashed experiment yields an empty-check (failed)
-            # result so the run keeps going and exits non-zero.
-            result = ExperimentResult(
-                experiment_id, f"crashed: {type(exc).__name__}: {exc}"
-            )
-            obs.log_event(
-                logger, "experiment-crashed", level=logging.ERROR,
-                experiment=experiment_id, error=f"{type(exc).__name__}: {exc}",
-            )
-        results.append(result)
-        _print_result(result, verbose=verbose)
-    return results
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     ids = args.experiments or list(EXPERIMENTS)
     unknown = [i for i in ids if i not in EXPERIMENTS]
@@ -153,25 +129,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         run_cache = datasets.DatasetCache(cache_dir=args.cache_dir)
     else:
         run_cache = datasets.get_cache()
-    run_width = 1
-    run_pool = "serial"
     with datasets.use_cache(run_cache):
-        if args.jobs > 1:
-            executor = make_executor(args.jobs, pool=args.pool)
-            results = run_all(
-                scenario, config, experiment_ids=ids,
-                executor=executor, on_error="capture",
-            )
-            run_width = executor.width
-            run_pool = executor.kind
-            for result in results:
-                _print_result(result, verbose=args.verbose)
-        else:
-            results = _run_serial(
-                ids, scenario, config, logger, args.verbose
-            )
+        results = run_all(
+            scenario, config, experiment_ids=ids, jobs=args.jobs,
+            on_error="capture",
+        )
     failed = 0
     for result in results:
+        _print_result(result, verbose=args.verbose)
         if not result.passed:
             failed += 1
             obs.log_event(
@@ -183,12 +148,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.telemetry:
         from repro.obs.manifest import build_manifest
 
+        # The thread pool's width, as its span recorded it.
+        run_width = next(
+            (span.metrics["width"] for span in obs.get_tracer().roots
+             if span.name == "executor/parallel"),
+            1,
+        )
         manifest = build_manifest(
             results, seed=args.seed, config=config,
             scenario=scenario,
             executor={
-                "name": executor.name if args.jobs > 1 else "serial",
-                "pool": run_pool,
+                "name": "parallel" if args.jobs > 1 else "serial",
+                "pool": "thread" if args.jobs > 1 else "serial",
                 "jobs": args.jobs,
                 "width": run_width,
                 "dataset_cache": dict(
@@ -294,8 +265,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         f"Scenario seed: {args.seed}",
         "",
     ]
-    for experiment_id in EXPERIMENTS:
-        result = run_experiment(experiment_id, scenario, config)
+    for result in run_all(scenario, config):
+        experiment_id = result.experiment_id
         marker = "PASS" if result.passed else "FAIL"
         lines.append(f"## {experiment_id} — {result.title} [{marker}]")
         lines.append("")
@@ -851,14 +822,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "-j", "--jobs", type=int, default=1, metavar="N",
-        help="run experiments on N worker threads with dataset-ready "
-             "scheduling (default: %(default)s, serial)",
-    )
-    run_parser.add_argument(
-        "--pool", choices=("thread", "process"), default="thread",
-        help="worker pool backing --jobs: 'process' escapes the GIL "
-             "with forked workers and falls back to threads where "
-             "fork is unavailable (default: %(default)s)",
+        help="run experiments on up to N worker threads with "
+             "dataset-ready scheduling, capped by the run's schedulable "
+             "work and the machine's cores (default: %(default)s, "
+             "serial on this thread)",
     )
     run_parser.add_argument(
         "--no-dataset-cache", action="store_true",

@@ -3,8 +3,7 @@
 Importing this package imports every experiment module in paper order;
 each one self-registers via :func:`repro.experiments.base.register`,
 populating :data:`REGISTRY` (rich :class:`ExperimentSpec` objects) and
-the derived :data:`EXPERIMENTS` id→runner mapping the old
-``repro.pipeline`` monolith used to maintain by hand.
+the derived :data:`EXPERIMENTS` id→runner mapping.
 
 The public entry points are :func:`run_experiment` and
 :func:`run_all` (with optional ``jobs=N`` parallelism) from
@@ -44,14 +43,7 @@ from repro.experiments.fig12 import run_fig12
 from repro.experiments.tables import run_table1, run_table2
 from repro.experiments.disc09 import run_disc09
 
-from repro.experiments.executor import (
-    ParallelExecutor,
-    ProcessExecutor,
-    SerialExecutor,
-    make_executor,
-    run_all,
-    run_experiment,
-)
+from repro.experiments.executor import run_all, run_experiment
 from repro.experiments.runner import (
     Experiment,
     format_grid_manifest,
@@ -61,7 +53,7 @@ from repro.experiments.runner import (
     run_grid_cell,
 )
 
-#: Id → runner, in paper order (compat view of :data:`REGISTRY`).
+#: Id → runner, in paper order (a view of :data:`REGISTRY`).
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     spec.id: spec.runner for spec in REGISTRY.values()
 }
@@ -72,15 +64,11 @@ __all__ = [
     "REGISTRY",
     "ExperimentResult",
     "ExperimentSpec",
-    "ParallelExecutor",
     "PipelineConfig",
-    "ProcessExecutor",
-    "SerialExecutor",
     "all_specs",
     "format_grid_manifest",
     "get_spec",
     "load_grid",
-    "make_executor",
     "measure_expectation",
     "register",
     "repeat_seed",

@@ -11,10 +11,6 @@ and self-registers it with the :func:`register` decorator, declaring
   shared inputs and to schedule experiments as their data becomes
   ready,
 * whether it needs a scenario at all (the tables do not).
-
-The registry replaces the hand-maintained ``EXPERIMENTS`` dict of the
-old ``repro.pipeline`` monolith; that module survives as a thin
-compatibility shim over this package.
 """
 
 from __future__ import annotations
@@ -141,8 +137,8 @@ def register(
 ) -> Callable[[Runner], Runner]:
     """Decorator: trace the runner and add its spec to the registry.
 
-    Returns the traced runner, so the module-level ``run_*`` name keeps
-    the instrumented behavior the old monolith had.
+    Returns the traced runner, so the module-level ``run_*`` name is
+    instrumented too.
     """
 
     def decorate(func: Runner) -> Runner:

@@ -1,35 +1,35 @@
-"""Execution strategies for running registered experiments.
+"""Running registered experiments: :func:`run_all` and :func:`run_experiment`.
 
-Three executors share one contract — take specs, return
+:func:`run_all` is the one way experiments run, whatever the caller
+(``repro run``, ``repro report``, the scenario grid, the benchmarks).
+It takes specs and returns
 :class:`~repro.experiments.base.ExperimentResult` objects in paper
 order:
 
-* :class:`SerialExecutor` runs experiments one by one (the default, and
-  what ``repro run`` does without ``--jobs``).
-* :class:`ParallelExecutor` runs them on a thread pool with
-  dataset-ready scheduling: every distinct
+* ``jobs <= 1`` runs the experiments one by one on the calling thread.
+  Each runner fetches its own datasets, so ``dataset/`` spans nest
+  under its ``experiment/`` span.
+* ``jobs > 1`` runs them on a thread pool with dataset-ready
+  scheduling: every distinct
   :class:`~repro.synth.datasets.DatasetRequest` is materialized once on
   the pool, and an experiment is submitted as soon as all of its
   declared datasets are in the cache.  Experiments that share a key
-  (e.g. Figs 11/12's EDU capture) never materialize it twice.
-* :class:`ProcessExecutor` runs them in worker *processes*
-  (``repro run --jobs N --pool process``): each worker rebuilds the
-  scenario from its picklable :class:`~repro.synth.spec.ScenarioSpec`
-  (memoized per process, so one rebuild serves every experiment that
-  worker runs) and ships back the finished result.  Threads stop
-  paying once the Python-level work — grouping, partial merges,
-  result assembly — saturates the GIL; processes sidestep it at the
-  cost of per-worker scenario construction and result pickling.
-  Platforms without ``fork``/``forkserver`` (and the
-  ``REPRO_NO_PROCPOOL`` escape hatch) fall back to the thread
-  executor via :func:`make_executor`.
+  (e.g. Figs 11/12's EDU capture) never materialize it twice.  The
+  pool is ``jobs`` wide, capped by the run's schedulable work and the
+  machine's cores; its ``executor/parallel`` span records that width.
+
+Both give identical metrics and checks, because every dataset key is a
+deterministic function of the scenario and config.  With
+``on_error="capture"`` an experiment that raises becomes a failed
+result (and an ``experiment-crashed`` log event) instead of ending the
+run.
 """
 
 from __future__ import annotations
 
 import concurrent.futures as _cf
+import logging
 import os
-import pickle
 from typing import Dict, List, Optional, Sequence, Set
 
 import repro.obs as obs
@@ -41,15 +41,22 @@ from repro.experiments.base import (
     resolve_specs,
 )
 from repro.synth import datasets as datasets_mod
-from repro.synth.datasets import DatasetCache, DatasetRequest
+from repro.synth.datasets import DatasetRequest
 from repro.synth.scenario import Scenario, build_scenario
+
+_LOGGER = obs.get_logger("experiments")
 
 
 def _crash_result(spec: ExperimentSpec, exc: BaseException) -> ExperimentResult:
     """A failed result standing in for an experiment that raised."""
+    error = f"{type(exc).__name__}: {exc}"
+    obs.log_event(
+        _LOGGER, "experiment-crashed", level=logging.ERROR,
+        experiment=spec.id, error=error,
+    )
     result = ExperimentResult(spec.id, spec.title)
     result.checks["experiment crashed"] = False
-    result.rendered = f"CRASH: {type(exc).__name__}: {exc}"
+    result.rendered = f"CRASH: {error}"
     result.data = exc
     return result
 
@@ -68,32 +75,34 @@ def _run_one(
         raise
 
 
-class SerialExecutor:
-    """Run experiments sequentially in paper order."""
+def _width(
+    jobs: int,
+    specs: Sequence[ExperimentSpec],
+    needs: Dict[str, Set[DatasetRequest]],
+    n_datasets: int,
+) -> int:
+    """Threads the run can actually keep busy.
 
-    name = "serial"
-    kind = "serial"
-    jobs = 1
-    width = 1
-
-    def run(
-        self,
-        specs: Sequence[ExperimentSpec],
-        scenario: Optional[Scenario],
-        config: Optional[PipelineConfig],
-        *,
-        on_error: str = "raise",
-    ) -> List[ExperimentResult]:
-        with obs.span("executor/serial") as span:
-            span.set_metric("experiments", len(specs))
-            results = [
-                _run_one(spec, scenario, config, on_error) for spec in specs
-            ]
-        return results
+    A fixed ``--jobs N`` pool is counterproductive when the schedulable
+    width is smaller: threads beyond the number of runnable tasks
+    (distinct datasets plus dataset-free experiments, later at most one
+    task per experiment) or beyond the machine's cores only add
+    GIL/scheduler contention — on a single-core container a ``--jobs
+    4`` run measured *slower* than serial.  Cap the pool by both.
+    """
+    ready_now = sum(1 for spec in specs if not needs[spec.id])
+    schedulable = max(n_datasets + ready_now, len(specs))
+    return max(1, min(jobs, schedulable, os.cpu_count() or 1))
 
 
-class ParallelExecutor:
-    """Run experiments on a thread pool with dataset-ready scheduling.
+def _run_parallel(
+    specs: Sequence[ExperimentSpec],
+    scenario: Optional[Scenario],
+    config: Optional[PipelineConfig],
+    jobs: int,
+    on_error: str,
+) -> List[ExperimentResult]:
+    """Dataset-ready scheduling on a thread pool.
 
     Phase 1 submits every distinct dataset request to the pool (the
     cache's per-key locks make concurrent fetches of the same key
@@ -102,64 +111,16 @@ class ParallelExecutor:
     datasets start immediately.  Results come back in paper order
     regardless of completion order.
     """
-
-    name = "parallel"
-    kind = "thread"
-
-    def __init__(self, jobs: int):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        #: Pool width actually used by the last run.  ``jobs`` is the
-        #: requested ceiling; the run sizes the pool from the work that
-        #: can really proceed concurrently (see :meth:`_pool_width`),
-        #: and run manifests record this value.
-        self.width = jobs
-
-    def _pool_width(
-        self,
-        specs: Sequence[ExperimentSpec],
-        needs: Dict[str, Set[DatasetRequest]],
-        n_datasets: int,
-    ) -> int:
-        """Threads the run can actually keep busy.
-
-        A fixed ``--jobs N`` pool is counterproductive when the
-        schedulable width is smaller: threads beyond the number of
-        runnable tasks (distinct datasets plus dataset-free
-        experiments, later at most one task per experiment) or beyond
-        the machine's cores only add GIL/scheduler contention — on a
-        single-core container a ``--jobs 4`` run measured *slower*
-        than serial.  Cap the pool by both.
-        """
-        ready_now = sum(1 for spec in specs if not needs[spec.id])
-        schedulable = max(n_datasets + ready_now, len(specs))
-        return max(1, min(self.jobs, schedulable, os.cpu_count() or 1))
-
-    def run(
-        self,
-        specs: Sequence[ExperimentSpec],
-        scenario: Optional[Scenario],
-        config: Optional[PipelineConfig],
-        *,
-        on_error: str = "raise",
-    ) -> List[ExperimentResult]:
-        cache = datasets_mod.get_cache()
-        with obs.span("executor/parallel") as span:
-            span.set_metric("experiments", len(specs))
-            span.set_metric("jobs", self.jobs)
-            results = self._run(specs, scenario, config, cache, on_error)
-            span.set_metric("width", self.width)
-        return results
-
-    def _run(
-        self,
-        specs: Sequence[ExperimentSpec],
-        scenario: Optional[Scenario],
-        config: Optional[PipelineConfig],
-        cache: DatasetCache,
-        on_error: str,
-    ) -> List[ExperimentResult]:
+    cache = datasets_mod.get_cache()
+    results: Dict[str, ExperimentResult] = {}
+    pending = list(specs)
+    outstanding: Set[_cf.Future] = set()
+    experiment_ids: Dict[_cf.Future, str] = {}
+    dataset_keys: Dict[_cf.Future, DatasetRequest] = {}
+    first_error: Optional[BaseException] = None
+    with obs.span("executor/parallel") as span:
+        span.set_metric("experiments", len(specs))
+        span.set_metric("jobs", jobs)
         # Which dataset keys gate which experiments.  With the cache
         # disabled there is nothing to share, so everything starts
         # immediately and each runner materializes its own data.
@@ -174,15 +135,9 @@ class ParallelExecutor:
             needs[spec.id] = set(requests)
             for request in requests:
                 distinct.setdefault(request)
-        results: Dict[str, ExperimentResult] = {}
-        pending = list(specs)
-        outstanding: Set[_cf.Future] = set()
-        experiment_ids: Dict[_cf.Future, str] = {}
-        dataset_keys: Dict[_cf.Future, DatasetRequest] = {}
-        first_error: Optional[BaseException] = None
-        self.width = self._pool_width(specs, needs, len(distinct))
+        width = _width(jobs, specs, needs, len(distinct))
         with _cf.ThreadPoolExecutor(
-            max_workers=self.width, thread_name_prefix="repro-exp"
+            max_workers=width, thread_name_prefix="repro-exp"
         ) as pool:
 
             def submit_ready() -> None:
@@ -228,175 +183,10 @@ class ParallelExecutor:
                             pending = []
                 if first_error is None:
                     submit_ready()
-        if first_error is not None:
-            raise first_error
-        return [results[spec.id] for spec in specs if spec.id in results]
-
-
-# -- process execution --------------------------------------------------------
-
-#: Per-worker rebuilt scenarios, keyed by spec fingerprint.  Bounded:
-#: a grid can stripe many scenarios across few workers, and each world
-#: holds populations + RNG state.
-_WORKER_SCENARIOS: Dict[str, Scenario] = {}
-_WORKER_SCENARIO_CAP = 4
-
-
-def scenario_from_spec(scenario_spec) -> Optional[Scenario]:
-    """Rebuild (or reuse) this process's scenario for ``scenario_spec``.
-
-    Memoized by fingerprint so one worker running several experiments
-    — or several grid cells on the same scenario — constructs the
-    world once.  Top-level so process tasks pickle by reference.
-    """
-    if scenario_spec is None:
-        return None
-    key = scenario_spec.fingerprint
-    cached = _WORKER_SCENARIOS.get(key)
-    if cached is None:
-        cached = build_scenario(spec=scenario_spec)
-        while len(_WORKER_SCENARIOS) >= _WORKER_SCENARIO_CAP:
-            _WORKER_SCENARIOS.pop(next(iter(_WORKER_SCENARIOS)))
-        _WORKER_SCENARIOS[key] = cached
-    return cached
-
-
-def _portable_result(result: ExperimentResult) -> ExperimentResult:
-    """Make a result safe to ship across the process boundary.
-
-    ``data`` is a free-form attachment (arrays, exceptions, figure
-    payloads); anything that does not pickle is dropped rather than
-    failing the experiment — metrics, checks, and rendered output are
-    what the callers consume.
-    """
-    try:
-        pickle.dumps(result.data, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        result.data = None
-    return result
-
-
-def _run_one_in_process(
-    experiment_id: str,
-    scenario_spec,
-    config: Optional[PipelineConfig],
-    on_error: str,
-) -> ExperimentResult:
-    """Worker-side task: rebuild the world, run one experiment."""
-    spec = get_spec(experiment_id)
-    scenario = scenario_from_spec(scenario_spec)
-    return _portable_result(_run_one(spec, scenario, config, on_error))
-
-
-class ProcessExecutor:
-    """Run experiments in worker processes, one task per experiment.
-
-    Workers receive ``(experiment id, scenario spec, config)`` — all
-    cheaply picklable — rebuild the scenario once per process, and
-    return finished results.  There is no dataset-ready scheduling:
-    each worker owns a private in-memory dataset cache, so sharing
-    happens per worker rather than globally (the trade for leaving
-    the GIL).  Unlike the thread executor, the pool width is not
-    capped by ``os.cpu_count()`` — the regression that motivated that
-    cap was GIL contention, which processes do not have; the bench
-    gates stay core-aware instead.
-
-    Requires a platform with ``fork`` or ``forkserver`` and a
-    scenario built from a :class:`~repro.synth.spec.ScenarioSpec`
-    (every ``build_scenario`` world qualifies; only hand-assembled
-    test scenarios do not).
-    """
-
-    name = "process"
-    kind = "process"
-
-    def __init__(self, jobs: int):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        from repro.query import procpool
-
-        if not procpool.processes_supported():
-            raise RuntimeError(
-                "process executor unavailable: no fork/forkserver start "
-                "method (or REPRO_NO_PROCPOOL is set); use the thread "
-                "executor"
-            )
-        self.jobs = jobs
-        self.width = jobs
-        self._start_method = procpool.start_method()
-
-    def run(
-        self,
-        specs: Sequence[ExperimentSpec],
-        scenario: Optional[Scenario],
-        config: Optional[PipelineConfig],
-        *,
-        on_error: str = "raise",
-    ) -> List[ExperimentResult]:
-        import multiprocessing
-
-        scenario_spec = scenario.spec if scenario is not None else None
-        if scenario is not None and scenario_spec is None:
-            raise ValueError(
-                "the process executor needs a scenario built from a "
-                "ScenarioSpec (hand-assembled scenarios cannot be "
-                "rebuilt in workers); use the thread executor"
-            )
-        self.width = max(1, min(self.jobs, len(specs)))
-        results: Dict[str, ExperimentResult] = {}
-        first_error: Optional[BaseException] = None
-        with obs.span("executor/process") as span:
-            span.set_metric("experiments", len(specs))
-            span.set_metric("jobs", self.jobs)
-            span.set_metric("width", self.width)
-            with _cf.ProcessPoolExecutor(
-                max_workers=self.width,
-                mp_context=multiprocessing.get_context(self._start_method),
-            ) as pool:
-                futures = {
-                    pool.submit(
-                        _run_one_in_process, spec.id, scenario_spec,
-                        config, on_error,
-                    ): spec
-                    for spec in specs
-                }
-                for future in _cf.as_completed(futures):
-                    spec = futures[future]
-                    try:
-                        results[spec.id] = future.result()
-                    except BaseException as exc:
-                        # A worker that died (or a result that failed
-                        # to pickle back) is attributed to its
-                        # experiment, like any runner crash.
-                        if on_error == "capture":
-                            results[spec.id] = _crash_result(spec, exc)
-                        elif first_error is None:
-                            first_error = exc
-        if first_error is not None:
-            raise first_error
-        return [results[spec.id] for spec in specs if spec.id in results]
-
-
-def make_executor(jobs: int = 1, pool: str = "thread"):
-    """The executor matching ``--jobs``/``--pool`` values.
-
-    ``pool`` chooses between worker threads (``"thread"``, the
-    default) and worker processes (``"process"``) once ``jobs > 1``;
-    a platform that cannot run process pools falls back to threads
-    gracefully.  ``jobs <= 1`` is always serial.
-    """
-    if pool not in ("thread", "process"):
-        raise ValueError(
-            f"unknown executor pool {pool!r}; use 'thread' or 'process'"
-        )
-    if jobs <= 1:
-        return SerialExecutor()
-    if pool == "process":
-        try:
-            return ProcessExecutor(jobs)
-        except RuntimeError:
-            obs.counter("experiments.process-fallbacks").inc()
-    return ParallelExecutor(jobs)
+        span.set_metric("width", width)
+    if first_error is not None:
+        raise first_error
+    return [results[spec.id] for spec in specs if spec.id in results]
 
 
 def run_experiment(
@@ -417,22 +207,19 @@ def run_all(
     *,
     experiment_ids: Optional[Sequence[str]] = None,
     jobs: int = 1,
-    pool: str = "thread",
-    executor=None,
     on_error: str = "raise",
 ) -> List[ExperimentResult]:
     """Run every experiment (or a subset) in paper order.
 
-    ``jobs > 1`` switches to the dataset-ready thread executor
-    (``pool="thread"``) or the process executor (``pool="process"``);
-    the metrics and checks are identical to a serial run because every
-    dataset key is a deterministic function of the scenario and config.
-    ``on_error="capture"`` converts a crashing experiment into a failed
-    :class:`ExperimentResult` instead of propagating the exception.
+    ``jobs <= 1`` runs them inline on the calling thread; ``jobs > 1``
+    runs them on the dataset-ready thread pool (see the module
+    docstring).  ``on_error="capture"`` converts a crashing experiment
+    into a failed :class:`ExperimentResult` instead of propagating the
+    exception.
     """
     specs = resolve_specs(experiment_ids)
     if scenario is None and any(spec.needs_scenario for spec in specs):
         scenario = build_scenario()
-    if executor is None:
-        executor = make_executor(jobs, pool=pool)
-    return executor.run(specs, scenario, config, on_error=on_error)
+    if jobs <= 1:
+        return [_run_one(spec, scenario, config, on_error) for spec in specs]
+    return _run_parallel(specs, scenario, config, jobs, on_error)

@@ -31,6 +31,7 @@ grid of mplc-style reproducibility harnesses.
 
 from __future__ import annotations
 
+import pickle
 import time
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -163,6 +164,21 @@ def run_grid_cell(
 _GRID_WORKER_CACHE: Optional[datasets.DatasetCache] = None
 
 
+def _portable_result(result: ExperimentResult) -> ExperimentResult:
+    """Make a result safe to ship across the process boundary.
+
+    ``data`` is a free-form attachment (arrays, exceptions, figure
+    payloads); anything that does not pickle is dropped rather than
+    failing the cell — metrics, checks, and rendered output are what
+    the grid manifest consumes.
+    """
+    try:
+        pickle.dumps(result.data, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        result.data = None
+    return result
+
+
 def _grid_cell_in_process(
     spec: ScenarioSpec,
     repeat: int,
@@ -171,8 +187,6 @@ def _grid_cell_in_process(
     jobs: int,
 ) -> Dict[str, object]:
     """Worker-side grid cell: private cache, picklable payload."""
-    from repro.experiments import executor as executor_mod
-
     global _GRID_WORKER_CACHE
     if _GRID_WORKER_CACHE is None:
         _GRID_WORKER_CACHE = datasets.DatasetCache()
@@ -180,9 +194,7 @@ def _grid_cell_in_process(
         spec, repeat, experiment_ids, config, jobs,
         cache=_GRID_WORKER_CACHE,
     )
-    cell["results"] = [
-        executor_mod._portable_result(result) for result in cell["results"]
-    ]
+    cell["results"] = [_portable_result(result) for result in cell["results"]]
     return cell
 
 

@@ -28,16 +28,12 @@ materializing tuple keys.
 column (and per derived key such as the service port), exploiting its
 immutable-by-convention contract; see :meth:`FlowTable.group_index`.
 
-Setting the ``REPRO_NO_GROUP_INDEX`` environment variable (to anything
-non-empty) routes every table aggregation through the index-free
-reference implementations in this module (:func:`group_sums`,
-:func:`group_counts`) — slower, but bit-identical, which is what the
-equivalence tests assert.
+:func:`group_sums` and :func:`group_counts` are the index-free
+one-shot forms, for callers that group an array once.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -45,18 +41,8 @@ import numpy as np
 
 import repro.obs as obs
 
-#: Environment variable disabling index memoization and routing
-#: aggregations through the naive reference path.
-DISABLE_ENV = "REPRO_NO_GROUP_INDEX"
-
-
 #: Below this many rows a comparison sort beats the radix passes' setup.
 _RADIX_MIN_ROWS = 1024
-
-
-def engine_enabled() -> bool:
-    """Whether the memoized group-index engine is active."""
-    return not os.environ.get(DISABLE_ENV)
 
 
 def stable_order(keys: np.ndarray) -> np.ndarray:
@@ -199,10 +185,10 @@ def group_sums(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Sorted unique keys and exact per-group sums, without an index.
 
-    The ``REPRO_NO_GROUP_INDEX`` fallback: one ``np.unique`` per call,
-    accumulation via ``np.add.at`` in the values' own dtype (exact for
-    int64, unlike float64 ``bincount`` weights).  Bit-identical to
-    :meth:`GroupIndex.sum` over :attr:`GroupIndex.values`.
+    One ``np.unique`` per call, accumulation via ``np.add.at`` in the
+    values' own dtype (exact for int64, unlike float64 ``bincount``
+    weights).  Bit-identical to :meth:`GroupIndex.sum` over
+    :attr:`GroupIndex.values`.
     """
     keys = np.asarray(keys)
     values = np.asarray(values)
@@ -213,7 +199,7 @@ def group_sums(
 
 
 def group_counts(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted unique keys and their occurrence counts (fallback path)."""
+    """Sorted unique keys and their occurrence counts, without an index."""
     uniq, counts = np.unique(np.asarray(keys), return_counts=True)
     return uniq, counts.astype(np.int64)
 
@@ -229,8 +215,3 @@ def record_build(key: str, n_rows: int) -> None:
 def record_reuse() -> None:
     """Count one memoized-index reuse in the metrics registry."""
     obs.get_registry().counter("groupby.index-reuses").inc()
-
-
-def record_fallback() -> None:
-    """Count one naive-path aggregation in the metrics registry."""
-    obs.get_registry().counter("groupby.fallbacks").inc()

@@ -336,12 +336,8 @@ class FlowTable:
         self, key: str, value_column: str
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sorted unique keys and exact per-group sums of a column."""
-        values = self._cols[value_column]
-        if groupby.engine_enabled():
-            index = self.group_index(key)
-            return index.values, index.sum(values)
-        groupby.record_fallback()
-        return groupby.group_sums(self.key_array(key), values)
+        index = self.group_index(key)
+        return index.values, index.sum(self._cols[value_column])
 
     # -- aggregation -------------------------------------------------------
 
@@ -403,31 +399,16 @@ class FlowTable:
         """Distinct addresses per hourly bin over ``[start, stop)``."""
         if side not in ("src", "dst"):
             raise ValueError("side must be 'src' or 'dst'")
-        if groupby.engine_enabled():
-            # One distinct (hour, ip) pair per composed group; the pair
-            # index is shared across ranges and with other aggregations
-            # over the same columns.
-            pair, radix = self._pair_index("hour", f"{side}_ip")
-            hour_codes = (pair.values // radix).astype(np.intp)
-            pair_hours = self.group_index("hour").values[hour_codes]
-            in_range = (pair_hours >= start) & (pair_hours < stop)
-            return np.bincount(
-                pair_hours[in_range] - start, minlength=stop - start
-            ).astype(np.int64)
-        groupby.record_fallback()
-        hours = self._cols["hour"]
-        ips = self._cols[f"{side}_ip"]
-        in_range = (hours >= start) & (hours < stop)
-        rel_hours = hours[in_range] - start
-        sel_ips = ips[in_range]
-        # Count distinct (hour, ip) pairs per hour.
-        if rel_hours.size == 0:
-            return np.zeros(stop - start, dtype=np.int64)
-        pairs = rel_hours.astype(np.uint64) << np.uint64(32)
-        pairs |= sel_ips.astype(np.uint64)
-        uniq = np.unique(pairs)
-        uniq_hours = (uniq >> np.uint64(32)).astype(np.int64)
-        return np.bincount(uniq_hours, minlength=stop - start).astype(np.int64)
+        # One distinct (hour, ip) pair per composed group; the pair
+        # index is shared across ranges and with other aggregations
+        # over the same columns.
+        pair, radix = self._pair_index("hour", f"{side}_ip")
+        hour_codes = (pair.values // radix).astype(np.intp)
+        pair_hours = self.group_index("hour").values[hour_codes]
+        in_range = (pair_hours >= start) & (pair_hours < stop)
+        return np.bincount(
+            pair_hours[in_range] - start, minlength=stop - start
+        ).astype(np.int64)
 
     # -- transport keys ----------------------------------------------------
 
@@ -463,14 +444,8 @@ class FlowTable:
         formats one label per distinct key, so the Python-level string
         work is O(unique keys) rather than O(rows).
         """
-        if groupby.engine_enabled():
-            index = self.group_index("transport")
-            return self._transport_labels(index.values)[index.codes]
-        groupby.record_fallback()
-        uniq, inverse = np.unique(
-            self.key_array("transport"), return_inverse=True
-        )
-        return self._transport_labels(uniq)[inverse]
+        index = self.group_index("transport")
+        return self._transport_labels(index.values)[index.codes]
 
     def bytes_by_transport_key(self) -> Dict[str, int]:
         """Total bytes per ``PROTO/port`` label, efficiently.

@@ -1,7 +1,7 @@
 """Run manifests: what ran, with what inputs, on which code.
 
 A :class:`RunManifest` pins down one pipeline run well enough to
-re-execute it: scenario seed, :class:`~repro.pipeline.PipelineConfig`,
+re-execute it: scenario seed, :class:`~repro.experiments.PipelineConfig`,
 git SHA, interpreter and numpy versions, per-experiment check outcomes,
 the full span tree, and the metrics-registry snapshot.  It serializes
 to the ``telemetry.json`` written next to ``summary.json`` by
@@ -107,7 +107,7 @@ def build_manifest(
 ) -> RunManifest:
     """Assemble a manifest from experiment results and the obs globals.
 
-    ``results`` are :class:`~repro.pipeline.ExperimentResult` objects
+    ``results`` are :class:`~repro.experiments.ExperimentResult` objects
     (duck-typed to avoid a circular import); ``tracer``/``registry``
     default to the process-global ones from :mod:`repro.obs`.
     """

@@ -11,8 +11,7 @@ Well-known counter families (all created lazily on first use):
 * ``table.*`` — :class:`~repro.flows.table.FlowTable` concat/filter
   traffic,
 * ``groupby.*`` — the aggregation engine's ``index-builds``,
-  ``index-rows``, ``index-reuses``, and (with
-  ``REPRO_NO_GROUP_INDEX`` set) ``fallbacks``,
+  ``index-rows`` and ``index-reuses``,
 * ``dataset-cache.*`` — memory-tier ``hits``/``misses``/``bypasses``/
   ``bytes`` plus the disk tier's ``disk-hits``/``disk-misses``/
   ``disk-writes``/``disk-bytes``,

@@ -12,7 +12,7 @@ import datetime as dt
 import pytest
 
 from repro import build_scenario, timebase
-from repro.pipeline import PipelineConfig
+from repro.experiments import PipelineConfig
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import dataclasses
 import datetime as dt
 import json
 
@@ -9,7 +10,7 @@ import repro.obs as obs
 from repro import cli
 from repro.flows.io import read_csv, read_npz
 from repro.flows.store import FlowStore
-from repro.pipeline import ExperimentResult
+from repro.experiments import REGISTRY, ExperimentResult
 from tests.store_drills import age_partition, flip_byte
 
 
@@ -556,43 +557,66 @@ class TestTelemetry:
         assert cli.main(["telemetry", str(path)]) == 2
 
 
+def _stub_table1(monkeypatch, runner):
+    """Swap table1's registered runner for ``runner``."""
+    spec = dataclasses.replace(REGISTRY["table1"], runner=runner)
+    monkeypatch.setitem(REGISTRY, "table1", spec)
+
+
 class TestExitStatus:
     def test_failing_checks_exit_nonzero(self, monkeypatch, capsys):
-        def fake_run(experiment_id, scenario=None, config=None):
+        def fake_run(scenario=None, config=None):
             return ExperimentResult(
-                experiment_id, "stub", checks={"shape holds": False}
+                "table1", "stub", checks={"shape holds": False}
             )
 
-        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        _stub_table1(monkeypatch, fake_run)
         assert cli.main(["run", "table1"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "failing shape checks" in out
 
-    def test_crashing_experiment_exits_nonzero(
-        self, monkeypatch, capsys, tmp_path
-    ):
-        def fake_run(experiment_id, scenario=None, config=None):
+    def _assert_crash_reported(self, monkeypatch, capsys, tmp_path, jobs):
+        def fake_run(scenario=None, config=None):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        _stub_table1(monkeypatch, fake_run)
         path = tmp_path / "telemetry.json"
-        code = cli.main(["run", "table1", "--telemetry", str(path)])
+        code = cli.main([
+            "--log-level", "error", "run", "table1", "table2",
+            "--jobs", str(jobs), "--telemetry", str(path),
+        ])
         assert code == 1
-        assert "FAIL" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out
+        event = json.loads(captured.err.strip().splitlines()[-1])
+        assert event["event"] == "experiment-crashed"
+        assert event["experiment"] == "table1"
+        assert event["error"] == "RuntimeError: boom"
         # The crash still lands in the manifest as a failed experiment.
         payload = json.loads(path.read_text())
         assert payload["experiments"]["table1"]["passed"] is False
+        assert payload["experiments"]["table2"]["passed"] is True
+
+    def test_crashing_experiment_exits_nonzero(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        self._assert_crash_reported(monkeypatch, capsys, tmp_path, jobs=1)
+
+    def test_crashing_experiment_with_jobs_exits_nonzero(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        self._assert_crash_reported(monkeypatch, capsys, tmp_path, jobs=2)
 
     def test_failed_checks_logged_as_json_events(
         self, monkeypatch, capsys
     ):
-        def fake_run(experiment_id, scenario=None, config=None):
+        def fake_run(scenario=None, config=None):
             return ExperimentResult(
-                experiment_id, "stub", checks={"bad check": False}
+                "table1", "stub", checks={"bad check": False}
             )
 
-        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        _stub_table1(monkeypatch, fake_run)
         code = cli.main(["--log-level", "warning", "run", "table1"])
         assert code == 1
         err = capsys.readouterr().err

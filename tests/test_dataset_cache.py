@@ -339,13 +339,3 @@ class TestRunEquivalence:
         with datasets.use_cache(DatasetCache(cache_dir=cache_dir)):
             results = run_all(scenario, fast_config, jobs=4)
         assert _signature(results) == reference
-
-    def test_engine_fallback_equivalent(
-        self, scenario, fast_config, reference, monkeypatch
-    ):
-        from repro.flows import groupby
-
-        monkeypatch.setenv(groupby.DISABLE_ENV, "1")
-        with datasets.use_cache(DatasetCache()):
-            results = run_all(scenario, fast_config)
-        assert _signature(results) == reference

@@ -213,58 +213,7 @@ class TestExperimentGrid:
 
 
 class TestProcessExecution:
-    """Process-backed executors must match serial runs exactly."""
-
-    def test_make_executor_picks_process_pool(self):
-        from repro.experiments import ProcessExecutor, make_executor
-        from repro.query import procpool
-
-        if not procpool.processes_supported():
-            pytest.skip("no fork/forkserver start method")
-        executor = make_executor(2, pool="process")
-        assert isinstance(executor, ProcessExecutor)
-        assert executor.kind == "process"
-
-    def test_escape_hatch_falls_back_to_threads(self, monkeypatch):
-        from repro.experiments import make_executor
-        from repro.experiments.executor import ParallelExecutor
-        from repro.query import procpool
-
-        monkeypatch.setenv(procpool.DISABLE_ENV, "1")
-        executor = make_executor(2, pool="process")
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.kind == "thread"
-
-    def test_unknown_pool_rejected(self):
-        from repro.experiments import make_executor
-
-        with pytest.raises(ValueError):
-            make_executor(2, pool="fibers")
-
-    def test_process_run_matches_serial(self):
-        from repro.experiments import make_executor, run_all
-        from repro.experiments.executor import SerialExecutor
-        from repro.query import procpool
-
-        if not procpool.processes_supported():
-            pytest.skip("no fork/forkserver start method")
-        scenario = build_scenario(spec=small_spec())
-        config = PipelineConfig.fast()
-        serial = run_all(
-            scenario, config, experiment_ids=["table2"],
-            executor=SerialExecutor(),
-        )
-        process = run_all(
-            scenario, config, experiment_ids=["table2"],
-            executor=make_executor(2, pool="process"),
-            on_error="capture",
-        )
-        assert [r.experiment_id for r in process] == [
-            r.experiment_id for r in serial
-        ]
-        for ours, theirs in zip(process, serial):
-            assert ours.metrics == theirs.metrics
-            assert ours.checks == theirs.checks
+    """Grid cells fanned out to processes must match serial runs exactly."""
 
     def test_grid_cells_across_processes_match_serial(self):
         from repro.query import procpool

@@ -1,4 +1,4 @@
-"""The declarative experiment registry and the pipeline compat shim."""
+"""The declarative experiment registry and ``run_all``."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import inspect
 
 import pytest
 
-from repro import experiments, pipeline
+from repro import experiments
 from repro.experiments import base as experiments_base
 from repro.experiments.base import REGISTRY, ExperimentSpec
 
@@ -98,38 +98,33 @@ class TestDatasetDeclarations:
 
 class TestExecutors:
     @pytest.fixture
-    def crashing_spec(self):
+    def crashing_spec(self, monkeypatch):
         def boom(scenario, config=None):
             raise RuntimeError("boom")
 
-        return ExperimentSpec(
+        spec = ExperimentSpec(
             id="boom", title="Boom", anchor="Fig. 0", runner=boom,
             needs_scenario=False,
         )
+        monkeypatch.setitem(REGISTRY, spec.id, spec)
+        return spec
 
     def test_serial_raises_by_default(self, crashing_spec):
-        from repro.experiments.executor import SerialExecutor
-
         with pytest.raises(RuntimeError, match="boom"):
-            SerialExecutor().run([crashing_spec], None, None)
+            experiments.run_all(experiment_ids=["boom"])
 
     def test_serial_capture_yields_failed_result(self, crashing_spec):
-        from repro.experiments.executor import SerialExecutor
-
-        (result,) = SerialExecutor().run(
-            [crashing_spec], None, None, on_error="capture"
+        (result,) = experiments.run_all(
+            experiment_ids=["boom"], on_error="capture"
         )
         assert not result.passed
         assert result.failed_checks() == ["experiment crashed"]
         assert "RuntimeError" in result.rendered
 
     def test_parallel_capture_keeps_other_results(self, crashing_spec):
-        from repro.experiments.base import get_spec
-        from repro.experiments.executor import ParallelExecutor
-
-        specs = [get_spec("table1"), crashing_spec, get_spec("table2")]
-        results = ParallelExecutor(jobs=3).run(
-            specs, None, None, on_error="capture"
+        results = experiments.run_all(
+            experiment_ids=["table1", "boom", "table2"], jobs=3,
+            on_error="capture",
         )
         assert [r.experiment_id for r in results] == [
             "table1", "boom", "table2"
@@ -137,39 +132,13 @@ class TestExecutors:
         assert results[0].passed and results[2].passed
         assert not results[1].passed
 
-    def test_parallel_rejects_bad_job_count(self):
-        from repro.experiments.executor import ParallelExecutor
-
-        with pytest.raises(ValueError, match="jobs"):
-            ParallelExecutor(jobs=0)
-
-    def test_make_executor_picks_by_jobs(self):
-        from repro.experiments.executor import (
-            ParallelExecutor,
-            SerialExecutor,
-            make_executor,
-        )
-
-        assert isinstance(make_executor(1), SerialExecutor)
-        assert isinstance(make_executor(4), ParallelExecutor)
-
     def test_run_experiment_runs_tables_without_scenario(self):
         result = experiments.run_experiment("table2")
         assert result.passed
 
 
 class TestPipelineShim:
-    def test_shim_reexports_runners_and_registry(self):
-        assert pipeline.EXPERIMENTS is experiments.EXPERIMENTS
-        assert pipeline.run_all is experiments.run_all
-        assert pipeline.run_experiment is experiments.run_experiment
-        for experiment_id in PAPER_IDS:
-            name = f"run_{experiment_id}"
-            assert getattr(pipeline, name) is getattr(experiments, name)
-
-    def test_shim_all_matches_attributes(self):
-        for name in pipeline.__all__:
-            assert hasattr(pipeline, name), name
+    """Every runner keeps the ``(scenario, config)`` call shape."""
 
     def test_runner_signatures_keep_scenario_config_shape(self):
         for spec in REGISTRY.values():

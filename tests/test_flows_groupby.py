@@ -1,11 +1,10 @@
 """Group-index engine: invariants, equivalence, and integer exactness.
 
-Every group-index-backed aggregation must match (a) a naive Python
-dict-loop over the records and (b) the ``REPRO_NO_GROUP_INDEX``
-fallback path, bit for bit, on randomized tables including the edge
-cases (empty table, single hour, port-less protocols).  The precision
-tests pin the satellite fix: byte totals above 2**53 must not round,
-as the old float64 ``np.bincount`` weights silently did.
+Every group-index-backed aggregation must match a naive Python
+dict-loop over the records, bit for bit, on randomized tables
+including the edge cases (empty table, single hour, port-less
+protocols).  The precision tests pin that byte totals above 2**53 do
+not round, as the old float64 ``np.bincount`` weights silently did.
 """
 
 from __future__ import annotations
@@ -47,16 +46,6 @@ def random_table(seed: int, n: int, n_hours: int = 12) -> FlowTable:
         n_packets=rng.integers(1, 100, n),
         connections=rng.integers(1, 5, n),
     )
-
-
-def dict_sums(table: FlowTable, key: str, value: str) -> dict:
-    """Naive per-record reference aggregation."""
-    keys = table.key_array(key)
-    values = table.column(value)
-    out: dict = {}
-    for k, v in zip(keys.tolist(), values.tolist()):
-        out[k] = out.get(k, 0) + v
-    return out
 
 
 class TestGroupIndexInvariants:
@@ -192,39 +181,63 @@ def aggregate_all(table: FlowTable) -> dict:
     }
 
 
+def reference_all(table: FlowTable) -> dict:
+    """:func:`aggregate_all` recomputed record by record, without numpy.
+
+    Transport labels come from :meth:`FlowRecord.transport_key`, the
+    scalar derivation, not the table's vectorized service-port kernel.
+    """
+    records = list(table)
+
+    def sums(key, value) -> dict:
+        out: dict = {}
+        for r in records:
+            out[key(r)] = out.get(key(r), 0) + value(r)
+        return out
+
+    def hourly(value, start, stop) -> list:
+        per_hour = sums(lambda r: r.hour, value)
+        return [per_hour.get(h, 0) for h in range(start, stop)]
+
+    def distinct(ip, start, stop) -> list:
+        return [len({ip(r) for r in records if r.hour == h})
+                for h in range(start, stop)]
+
+    by_transport = sums(lambda r: r.transport_key(), lambda r: r.n_bytes)
+    return {
+        "bytes-by-asn": sums(lambda r: r.src_asn, lambda r: r.n_bytes),
+        "bytes-by-port": sums(lambda r: r.dst_port, lambda r: r.n_bytes),
+        "connections-by-asn": sums(
+            lambda r: r.dst_asn, lambda r: r.connections
+        ),
+        "hourly-bytes": hourly(lambda r: r.n_bytes, 0, 12),
+        "hourly-connections": hourly(lambda r: r.connections, 0, 12),
+        "bytes-by-transport": by_transport,
+        "top-transport": sorted(
+            by_transport.items(), key=lambda kv: (-kv[1], kv[0])
+        )[:5],
+        "unique-src-per-hour": distinct(lambda r: r.src_ip, 0, 12),
+        "unique-dst-per-hour": distinct(lambda r: r.dst_ip, 2, 7),
+        "transport-labels": [r.transport_key() for r in records],
+    }
+
+
 class TestEngineEquivalence:
-    """Engine-on, fallback, and dict-loop reference must agree exactly."""
+    """The group-index engine, its sort fallback and the record-loop
+    reference agree exactly."""
 
     def test_engine_matches_naive_reference(self, any_table):
-        table = any_table
-        assert table.bytes_by("src_asn") == dict_sums(
-            table, "src_asn", "n_bytes"
-        )
-        assert table.connections_by("dst_asn") == dict_sums(
-            table, "dst_asn", "connections"
-        )
-        hourly = dict_sums(table, "hour", "n_bytes")
-        np.testing.assert_array_equal(
-            table.hourly_bytes(0, 12),
-            [hourly.get(h, 0) for h in range(12)],
-        )
-        pairs = set(
-            zip(
-                table.column("hour").tolist(),
-                table.column("src_ip").tolist(),
-            )
-        )
-        np.testing.assert_array_equal(
-            table.unique_ips_per_hour(0, 12),
-            [sum(1 for h, _ in pairs if h == hour) for hour in range(12)],
-        )
+        assert aggregate_all(any_table) == reference_all(any_table)
 
     def test_fallback_path_is_bit_identical(self, any_table, monkeypatch):
-        with_engine = aggregate_all(any_table)
-        monkeypatch.setenv(groupby.DISABLE_ENV, "1")
-        assert not groupby.engine_enabled()
-        without_engine = aggregate_all(any_table)
-        assert with_engine == without_engine
+        # Tables this small order their group keys with stable_order's
+        # comparison-sort fallback; forcing the radix passes onto the
+        # same columns must not change a single aggregate.
+        assert len(any_table) < groupby._RADIX_MIN_ROWS
+        fallback = aggregate_all(FlowTable(any_table.columns))
+        monkeypatch.setattr(groupby, "_RADIX_MIN_ROWS", 1)
+        radix = aggregate_all(FlowTable(any_table.columns))
+        assert fallback == radix
 
     def test_index_memoized_across_aggregations(self):
         table = random_table(9, 120)
@@ -250,8 +263,7 @@ class TestIntegerExactness:
 
     ``np.bincount(..., weights=...)`` accumulates in float64, where
     2**53 + 1 is unrepresentable — summing three such rows loses the
-    ``+3``.  The segment-sum engine and the fallback both accumulate
-    in int64.
+    ``+3``.  The segment-sum engine accumulates in int64.
     """
 
     HUGE = 2**53 + 1
@@ -278,10 +290,7 @@ class TestIntegerExactness:
         )
         assert int(rounded[0]) != 3 * self.HUGE
 
-    @pytest.mark.parametrize("engine", [True, False])
-    def test_exact_above_2_53(self, engine, monkeypatch):
-        if not engine:
-            monkeypatch.setenv(groupby.DISABLE_ENV, "1")
+    def test_exact_above_2_53(self):
         table = self.huge_table()
         exact = 3 * self.HUGE
         assert table.bytes_by("src_asn") == {7: exact}
@@ -396,19 +405,5 @@ class TestMetricsCounters:
             counters = registry.snapshot()["counters"]
             assert counters["groupby.index-builds"] == 1
             assert counters["groupby.index-reuses"] >= 1
-        finally:
-            obs.reset()
-
-    def test_fallbacks_counted(self, monkeypatch):
-        import repro.obs as obs
-
-        monkeypatch.setenv(groupby.DISABLE_ENV, "1")
-        registry = obs.MetricsRegistry()
-        obs.set_registry(registry)
-        try:
-            random_table(13, 40).bytes_by("src_asn")
-            counters = registry.snapshot()["counters"]
-            assert counters["groupby.fallbacks"] == 1
-            assert "groupby.index-builds" not in counters
         finally:
             obs.reset()

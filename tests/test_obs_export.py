@@ -8,7 +8,7 @@ import pytest
 
 import repro.obs as obs
 from repro.obs.manifest import RunManifest, build_manifest, format_manifest
-from repro.pipeline import PipelineConfig, run_experiment
+from repro.experiments import PipelineConfig, run_experiment
 from repro.report.export import write_run
 
 

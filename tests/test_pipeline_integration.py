@@ -7,14 +7,14 @@ are the codified version of EXPERIMENTS.md.
 
 import pytest
 
-from repro import pipeline
-from repro.pipeline import EXPERIMENTS, ExperimentResult, PipelineConfig
+from repro import experiments
+from repro.experiments import EXPERIMENTS, ExperimentResult, PipelineConfig
 
 
 @pytest.fixture(scope="module")
 def results(scenario, fast_config):
     return {
-        experiment_id: pipeline.run_experiment(
+        experiment_id: experiments.run_experiment(
             experiment_id, scenario, fast_config
         )
         for experiment_id in EXPERIMENTS
@@ -78,10 +78,10 @@ class TestHeadlineNumbers:
 class TestRunnerAPI:
     def test_unknown_experiment_rejected(self, scenario):
         with pytest.raises(ValueError):
-            pipeline.run_experiment("fig99", scenario)
+            experiments.run_experiment("fig99", scenario)
 
     def test_tables_need_no_scenario(self):
-        result = pipeline.run_experiment("table2")
+        result = experiments.run_experiment("table2")
         assert result.passed
 
     def test_result_failed_checks_listing(self, results):
@@ -120,7 +120,7 @@ class TestExperimentTracing:
 
         obs.configure(telemetry=True)
         try:
-            result = pipeline.run_experiment("table1")
+            result = experiments.run_experiment("table1")
             spans = obs.get_tracer().to_dict()["spans"]
             assert [s["name"] for s in spans] == ["experiment/table1"]
             assert spans[0]["metrics"]["checks"] == len(result.checks)
@@ -132,7 +132,7 @@ class TestExperimentTracing:
     def test_disabled_by_default_records_nothing(self):
         import repro.obs as obs
 
-        pipeline.run_experiment("table2")
+        experiments.run_experiment("table2")
         assert obs.get_tracer().to_dict() == {"spans": []}
 
 
@@ -146,15 +146,15 @@ class TestSeedRobustness:
         return build_scenario(seed=777)
 
     def test_fig03_holds_for_alternate_seed(self, alt_scenario, fast_config):
-        result = pipeline.run_experiment("fig03", alt_scenario, fast_config)
+        result = experiments.run_experiment("fig03", alt_scenario, fast_config)
         assert result.passed, result.failed_checks()
 
     def test_fig10_holds_for_alternate_seed(self, alt_scenario, fast_config):
-        result = pipeline.run_experiment("fig10", alt_scenario, fast_config)
+        result = experiments.run_experiment("fig10", alt_scenario, fast_config)
         assert result.passed, result.failed_checks()
 
     def test_fig12_holds_for_alternate_seed(self, alt_scenario, fast_config):
-        result = pipeline.run_experiment("fig12", alt_scenario, fast_config)
+        result = experiments.run_experiment("fig12", alt_scenario, fast_config)
         assert result.passed, result.failed_checks()
 
 

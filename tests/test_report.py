@@ -101,7 +101,7 @@ class TestExport:
     @pytest.fixture(scope="class")
     def exported(self, tmp_path_factory):
         from repro import build_scenario
-        from repro.pipeline import PipelineConfig, run_fig01, run_table2
+        from repro.experiments import PipelineConfig, run_fig01, run_table2
         from repro.report.export import export_results
 
         scenario = build_scenario()
@@ -144,7 +144,7 @@ class TestExportEdgeCases:
     def test_mismatched_series_lengths_skip_csv(self, tmp_path):
         import numpy as np
 
-        from repro.pipeline import ExperimentResult
+        from repro.experiments import ExperimentResult
         from repro.report.export import export_result
 
         result = ExperimentResult(
@@ -158,7 +158,7 @@ class TestExportEdgeCases:
         assert not (target / "series.csv").exists()
 
     def test_non_dict_data_skips_csv(self, tmp_path):
-        from repro.pipeline import ExperimentResult
+        from repro.experiments import ExperimentResult
         from repro.report.export import export_result
 
         result = ExperimentResult(
