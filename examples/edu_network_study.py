@@ -42,8 +42,9 @@ def main() -> None:
     print(f"  maximum workday decrease vs. base week: {drop:.0%} "
           "(paper: up to 55%)\n")
 
+    directions = edu.connection_direction(flows, internal)
     summary = edu.directionality_summary(
-        flows, internal,
+        flows, directions,
         timebase.EDU_CAPTURE_START, timebase.EDU_CAPTURE_END, LOCKDOWN,
     )
     print("Connection directionality (median daily, post/pre lockdown):")
@@ -63,7 +64,7 @@ def main() -> None:
     }
     for (cname, direction), target in targets.items():
         series = edu.daily_connections(
-            flows, internal, cname, direction,
+            flows, directions, cname, direction,
             timebase.EDU_CAPTURE_START, timebase.EDU_CAPTURE_END,
         )
         growth = series.growth_after(LOCKDOWN)

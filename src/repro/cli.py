@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence
 import repro.obs as obs
 from repro.flows import io as flow_io
 from repro.experiments import (
-    EXPERIMENTS,
+    REGISTRY,
     ExperimentResult,
     PipelineConfig,
     run_all,
@@ -99,15 +99,15 @@ def _print_result(result: ExperimentResult, verbose: bool) -> None:
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
-    for experiment_id, runner in EXPERIMENTS.items():
-        doc = (runner.__doc__ or "").strip().splitlines()[0]
+    for experiment_id, spec in REGISTRY.items():
+        doc = (spec.runner.__doc__ or spec.title).strip().splitlines()[0]
         print(f"{experiment_id:8s} {doc}")
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    ids = args.experiments or list(EXPERIMENTS)
-    unknown = [i for i in ids if i not in EXPERIMENTS]
+    ids = args.experiments or list(REGISTRY)
+    unknown = [i for i in ids if i not in REGISTRY]
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         return 2

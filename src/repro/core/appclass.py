@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -309,17 +311,52 @@ class ClassHeatmap:
     diffs: Dict[str, np.ndarray]
 
 
-def select_classes(
-    flows: FlowTable,
-    classes: Optional[Mapping[str, AppClass]] = None,
-) -> Dict[str, FlowTable]:
-    """Each class's sub-table of ``flows`` (default: Table 1 classes).
+@dataclass(frozen=True)
+class ClassVolume:
+    """One class's exact int64 byte volume per hour.
 
-    The Fig 9 helpers below take these selections, so one table is
-    filtered once per class however many views are derived from it.
+    ``values[i]`` holds the class's bytes in hourly bin
+    ``start_hour + i``.  The Fig 9 helpers below read week windows of
+    it (:meth:`week`).
+    """
+
+    start_hour: int
+    values: np.ndarray
+
+    def week(self, week: timebase.Week) -> np.ndarray:
+        """The 168 int64 hourly byte counts of one analysis week."""
+        start, stop = week.hour_range()
+        offset = start - self.start_hour
+        if offset < 0 or offset + (stop - start) > len(self.values):
+            raise ValueError(
+                f"week {week.start} lies outside the class volume's hours"
+            )
+        return self.values[offset : offset + (stop - start)]
+
+
+def class_volumes(
+    flows: FlowTable,
+    weeks: Iterable[timebase.Week],
+    classes: Optional[Mapping[str, AppClass]] = None,
+) -> Dict[str, ClassVolume]:
+    """Each class's hourly bytes over the span of ``weeks``.
+
+    ``classes`` defaults to the Table 1 classes.  Every class mask is
+    built once and summed through the table's hour index
+    (:meth:`FlowTable.hourly_bytes` with ``where=``), so no per-class
+    sub-table is copied however many views are derived from it.
     """
     classes = classes or standard_classes()
-    return {name: classes[name].select(flows) for name in sorted(classes)}
+    ranges = [week.hour_range() for week in weeks]
+    start = min(lo for lo, _ in ranges)
+    stop = max(hi for _, hi in ranges)
+    return {
+        name: ClassVolume(
+            start,
+            flows.hourly_bytes(start, stop, where=classes[name].mask(flows)),
+        )
+        for name in sorted(classes)
+    }
 
 
 def _kept_hour_indices() -> Tuple[int, ...]:
@@ -328,22 +365,21 @@ def _kept_hour_indices() -> Tuple[int, ...]:
 
 
 def _week_kept_hours(
-    flows: FlowTable, week: timebase.Week, kept: Sequence[int]
+    volume: ClassVolume, week: timebase.Week, kept: Sequence[int]
 ) -> np.ndarray:
-    start, stop = week.hour_range()
-    hourly = flows.hourly_bytes(start, stop).astype(np.float64)
+    hourly = volume.week(week).astype(np.float64)
     days = hourly.reshape(7, 24)
     return days[:, list(kept)].reshape(-1)
 
 
 def class_heatmaps(
-    selected: Mapping[str, FlowTable],
+    volumes: Mapping[str, ClassVolume],
     weeks: Mapping[str, timebase.Week],
 ) -> Dict[str, ClassHeatmap]:
     """Fig 9: per-class base pattern and stage-difference heatmaps.
 
-    ``selected`` maps class name to the class's flows (see
-    :func:`select_classes`).  ``weeks`` must contain ``base`` plus any
+    ``volumes`` maps class name to the class's hourly bytes (see
+    :func:`class_volumes`).  ``weeks`` must contain ``base`` plus any
     number of stage labels.
     Normalization follows §5: per class, min/max over all three weeks
     jointly (after removing the early-morning hours); differences are
@@ -353,9 +389,9 @@ def class_heatmaps(
         raise ValueError("weeks must include a 'base' entry")
     kept = _kept_hour_indices()
     heatmaps: Dict[str, ClassHeatmap] = {}
-    for name in sorted(selected):
+    for name in sorted(volumes):
         raw = {
-            label: _week_kept_hours(selected[name], week, kept)
+            label: _week_kept_hours(volumes[name], week, kept)
             for label, week in weeks.items()
         }
         lo = min(float(v.min()) for v in raw.values())
@@ -377,7 +413,7 @@ def class_heatmaps(
 
 
 def weekly_class_growth(
-    selected: FlowTable,
+    volume: ClassVolume,
     base_week: timebase.Week,
     stage_week: timebase.Week,
 ) -> float:
@@ -386,20 +422,18 @@ def weekly_class_growth(
     The §5 statements about overall class volume (VoD "up to 100%" at
     the European IXPs but "about 30%" at the ISP, gaming "about 10%" at
     the ISP, educational "+200%" at the ISP-CE) compare whole weeks,
-    unlike the business-hours statements.  ``selected`` holds the
-    class's flows.
+    unlike the business-hours statements.  ``volume`` holds the class's
+    hourly bytes.
     """
-    base_start, base_stop = base_week.hour_range()
-    stage_start, stage_stop = stage_week.hour_range()
-    base = float(selected.hourly_bytes(base_start, base_stop).sum())
-    stage = float(selected.hourly_bytes(stage_start, stage_stop).sum())
+    base = float(volume.week(base_week).sum())
+    stage = float(volume.week(stage_week).sum())
     if base <= 0:
         raise ValueError("base week has no traffic for the class")
     return stage / base - 1.0
 
 
 def business_hours_growth(
-    selected: FlowTable,
+    volume: ClassVolume,
     base_week: timebase.Week,
     stage_week: timebase.Week,
     region: timebase.Region,
@@ -411,13 +445,12 @@ def business_hours_growth(
 
     This is the quantity behind the §5 statements ("Web conferencing
     applications show a dramatic increase of more than 200% during
-    business hours").  ``selected`` holds the class's flows.
+    business hours").  ``volume`` holds the class's hourly bytes.
     """
     h0, h1 = hours
 
     def _mean_business(week: timebase.Week) -> float:
-        start, stop = week.hour_range()
-        hourly = selected.hourly_bytes(start, stop).astype(np.float64)
+        hourly = volume.week(week).astype(np.float64)
         days = hourly.reshape(7, 24)
         values = []
         for i, day in enumerate(week.days()):

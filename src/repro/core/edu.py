@@ -256,25 +256,50 @@ class DailyConnections:
         return after / before
 
 
+def _checked_directions(
+    flows: FlowTable, directions: np.ndarray
+) -> np.ndarray:
+    directions = np.asarray(directions)
+    if directions.shape != (len(flows),):
+        raise ValueError(
+            "directions must hold one connection_direction label per flow"
+        )
+    return directions
+
+
+def _class_direction_mask(
+    flows: FlowTable,
+    directions: np.ndarray,
+    class_name: str,
+    direction: str,
+) -> np.ndarray:
+    """Flows of one class in one direction (``"all"``: any direction)."""
+    if direction not in ("in", "out", "all"):
+        raise ValueError("direction must be 'in', 'out', or 'all'")
+    directions = _checked_directions(flows, directions)
+    mask = class_mask(flows, class_name)
+    if direction != "all":
+        mask &= directions == (1 if direction == "in" else -1)
+    return mask
+
+
 def daily_connections(
     flows: FlowTable,
-    internal_asns: Sequence[int],
+    directions: np.ndarray,
     class_name: str,
     direction: str,
     start_day: _dt.date,
     end_day: _dt.date,
 ) -> DailyConnections:
-    """Daily connection counts of one class in one direction."""
-    if direction not in ("in", "out", "all"):
-        raise ValueError("direction must be 'in', 'out', or 'all'")
-    mask = class_mask(flows, class_name)
-    if direction != "all":
-        labels = connection_direction(flows, internal_asns)
-        mask = mask & (labels == (1 if direction == "in" else -1))
-    selected = flows.filter(mask)
+    """Daily connection counts of one class in one direction.
+
+    ``directions`` holds the flows' :func:`connection_direction`
+    labels, computed once per table and shared by every class.
+    """
+    mask = _class_direction_mask(flows, directions, class_name, direction)
     start = timebase.hour_index(start_day, 0)
     stop = timebase.hour_index(end_day, 23) + 1
-    hourly = selected.hourly_connections(start, stop)
+    hourly = flows.hourly_connections(start, stop, where=mask)
     daily = hourly.reshape(-1, 24).sum(axis=1).astype(np.float64)
     days = tuple(timebase.iter_days(start_day, end_day))
     return DailyConnections(
@@ -287,7 +312,7 @@ def daily_connections(
 
 def hourly_connection_profile(
     flows: FlowTable,
-    internal_asns: Sequence[int],
+    directions: np.ndarray,
     class_name: str,
     direction: str,
     start_day: _dt.date,
@@ -296,26 +321,22 @@ def hourly_connection_profile(
 ) -> np.ndarray:
     """Mean connections per hour-of-day for one class and direction.
 
-    ``src_asns`` restricts to connections originating from a given set
-    of client ASes — the §7 origin analysis ("Latin American users
-    start connecting at 5 pm, presenting a peak from midnight until
-    7 am").
+    ``directions`` holds the flows' :func:`connection_direction`
+    labels.  ``src_asns`` restricts to connections originating from a
+    given set of client ASes — the §7 origin analysis ("Latin American
+    users start connecting at 5 pm, presenting a peak from midnight
+    until 7 am").
     """
-    mask = class_mask(flows, class_name)
-    if direction != "all":
-        labels = connection_direction(flows, internal_asns)
-        mask = mask & (labels == (1 if direction == "in" else -1))
+    mask = _class_direction_mask(flows, directions, class_name, direction)
     if src_asns is not None:
         wanted = np.asarray(sorted(int(a) for a in src_asns), dtype=np.int64)
-        mask = mask & (
-            np.isin(flows.column("src_asn"), wanted)
-            | np.isin(flows.column("dst_asn"), wanted)
+        mask &= np.isin(flows.column("src_asn"), wanted) | np.isin(
+            flows.column("dst_asn"), wanted
         )
-    selected = flows.filter(mask)
     start = timebase.hour_index(start_day, 0)
     stop = timebase.hour_index(end_day, 23) + 1
-    hourly = selected.hourly_connections(start, stop).astype(np.float64)
-    return hourly.reshape(-1, 24).mean(axis=0)
+    hourly = flows.hourly_connections(start, stop, where=mask)
+    return hourly.astype(np.float64).reshape(-1, 24).mean(axis=0)
 
 
 def out_of_hours_share(profile: np.ndarray,
@@ -347,18 +368,19 @@ class DirectionalitySummary:
 
 def directionality_summary(
     flows: FlowTable,
-    internal_asns: Sequence[int],
+    directions: np.ndarray,
     start_day: _dt.date,
     end_day: _dt.date,
     split: _dt.date,
 ) -> DirectionalitySummary:
     """Connection directionality before/after the lockdown (§7).
 
-    Expectations from the paper: ~39% of flows undeterminable, median
-    incoming connections double, outgoing connections nearly halve, and
-    the total grows by ~24%.
+    ``directions`` holds the flows' :func:`connection_direction`
+    labels.  Expectations from the paper: ~39% of flows undeterminable,
+    median incoming connections double, outgoing connections nearly
+    halve, and the total grows by ~24%.
     """
-    labels = connection_direction(flows, internal_asns)
+    labels = _checked_directions(flows, directions)
     unknown_fraction = float(np.mean(labels == 0))
     start = timebase.hour_index(start_day, 0)
     stop = timebase.hour_index(end_day, 23) + 1
@@ -367,9 +389,9 @@ def directionality_summary(
     for name, mask in (
         ("in", labels == 1),
         ("out", labels == -1),
-        ("all", np.ones(len(flows), dtype=bool)),
+        ("all", None),
     ):
-        hourly = flows.filter(mask).hourly_connections(start, stop)
+        hourly = flows.hourly_connections(start, stop, where=mask)
         daily = hourly.reshape(-1, 24).sum(axis=1).astype(np.float64)
         series = DailyConnections(
             class_name="total", direction=name, days=days, counts=daily

@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import timebase
-from repro.flows.table import FlowTable
+from repro.flows.table import FlowTable, transport_label
 
 #: The two dominant web keys omitted from Fig 7 for readability.
 OMITTED_KEYS = ("TCP/443", "TCP/80")
@@ -49,14 +49,45 @@ class PortWeekPattern:
     weekend: np.ndarray
 
 
-def _hour_of_day_profile(
+def _hourly_by_label(
     flows: FlowTable,
+    keys: Sequence[str],
+    weeks: Sequence[timebase.Week],
+) -> Dict[str, List[np.ndarray]]:
+    """Each key's int64 hourly bytes in each of ``weeks``.
+
+    Reads one :meth:`FlowTable.hourly_bytes_by` matrix over the weeks'
+    span; transport keys that share a label are summed, and a key with
+    no flows reads zero.
+    """
+    ranges = [week.hour_range() for week in weeks]
+    lo = min(start for start, _ in ranges)
+    hi = max(stop for _, stop in ranges)
+    values, matrix = flows.hourly_bytes_by("transport", lo, hi)
+    wanted = set(keys)
+    rows: Dict[str, np.ndarray] = {}
+    for value, row in zip(values, matrix):
+        label = transport_label(int(value))
+        if label in wanted:
+            rows[label] = rows[label] + row if label in rows else row
+    empty = np.zeros(hi - lo, dtype=np.int64)
+    return {
+        key: [rows.get(key, empty)[start - lo : stop - lo]
+              for start, stop in ranges]
+        for key in keys
+    }
+
+
+def _hour_of_day_profile(
+    hourly: np.ndarray,
     week: timebase.Week,
     region: timebase.Region,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(workday, weekend) mean per-hour byte profiles for one week."""
-    start, stop = week.hour_range()
-    hourly = flows.hourly_bytes(start, stop).astype(np.float64)
+    """(workday, weekend) mean per-hour byte profiles for one week.
+
+    ``hourly`` holds the week's 168 hourly byte counts.
+    """
+    hourly = hourly.astype(np.float64)
     workdays: List[np.ndarray] = []
     weekends: List[np.ndarray] = []
     for i, day in enumerate(week.days()):
@@ -86,15 +117,14 @@ def port_patterns(
     """
     if keys is None:
         keys = top_ports(flows, top_n)
-    labels = flows.transport_keys()
+    hourly = _hourly_by_label(flows, keys, list(weeks.values()))
     patterns: Dict[str, List[PortWeekPattern]] = {}
     for key in keys:
-        sub = flows.filter(labels == key)
         per_week: List[PortWeekPattern] = []
         peak = 0.0
         raw: List[Tuple[str, np.ndarray, np.ndarray]] = []
-        for label, week in weeks.items():
-            workday, weekend = _hour_of_day_profile(sub, week, region)
+        for (label, week), week_hours in zip(weeks.items(), hourly[key]):
+            workday, weekend = _hour_of_day_profile(week_hours, week, region)
             raw.append((label, workday, weekend))
             peak = max(peak, float(workday.max()), float(weekend.max()))
         if peak <= 0:
@@ -137,7 +167,7 @@ def port_growth(
     """
     if keys is None:
         keys = top_ports(flows)
-    labels = flows.transport_keys()
+    hourly = _hourly_by_label(flows, keys, [base_week, later_week])
     base_start, base_stop = base_week.hour_range()
     base_total = float(
         flows.hourly_bytes(base_start, base_stop).sum()
@@ -145,19 +175,21 @@ def port_growth(
     results: Dict[str, PortGrowth] = {}
     h0, h1 = working_hours
     for key in keys:
-        sub = flows.filter(labels == key)
+        base_hours, later_hours = hourly[key]
         values = {}
-        for label, week in (("base", base_week), ("later", later_week)):
-            workday, weekend = _hour_of_day_profile(sub, week, region)
+        for label, week, week_hours in (
+            ("base", base_week, base_hours),
+            ("later", later_week, later_hours),
+        ):
+            workday, weekend = _hour_of_day_profile(week_hours, week, region)
             values[label] = (
                 float(workday[h0:h1].mean()),
                 float(weekend.mean()),
             )
         base_wd, base_we = values["base"]
         later_wd, later_we = values["later"]
-        start, stop = base_week.hour_range()
         share = (
-            float(sub.hourly_bytes(start, stop).sum()) / base_total
+            float(base_hours.sum()) / base_total
             if base_total > 0
             else 0.0
         )

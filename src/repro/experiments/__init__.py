@@ -2,8 +2,7 @@
 
 Importing this package imports every experiment module in paper order;
 each one self-registers via :func:`repro.experiments.base.register`,
-populating :data:`REGISTRY` (rich :class:`ExperimentSpec` objects) and
-the derived :data:`EXPERIMENTS` id→runner mapping.
+populating :data:`REGISTRY` (rich :class:`ExperimentSpec` objects).
 
 The public entry points are :func:`run_experiment` and
 :func:`run_all` (with optional ``jobs=N`` parallelism) from
@@ -11,8 +10,6 @@ The public entry points are :func:`run_experiment` and
 """
 
 from __future__ import annotations
-
-from typing import Callable, Dict
 
 from repro.experiments.base import (
     REGISTRY,
@@ -26,7 +23,7 @@ from repro.experiments.base import (
     traced_experiment,
 )
 
-# Import order == paper order; it determines REGISTRY/EXPERIMENTS order
+# Import order == paper order; it determines REGISTRY order
 # and hence the order run_all executes and reports in.
 from repro.experiments.fig01 import run_fig01
 from repro.experiments.fig02 import run_fig02
@@ -53,13 +50,7 @@ from repro.experiments.runner import (
     run_grid_cell,
 )
 
-#: Id → runner, in paper order (a view of :data:`REGISTRY`).
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    spec.id: spec.runner for spec in REGISTRY.values()
-}
-
 __all__ = [
-    "EXPERIMENTS",
     "Experiment",
     "REGISTRY",
     "ExperimentResult",

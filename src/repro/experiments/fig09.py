@@ -61,10 +61,10 @@ def run_fig09(scenario: Scenario,
     weekly: Dict[str, Dict[str, Dict[str, float]]] = {}
     for name, weeks in WEEKS.items():
         vantage = scenario.vantage(name)
-        selected = appclass.select_classes(
-            _week_flows(scenario, config, name), classes
+        volumes = appclass.class_volumes(
+            _week_flows(scenario, config, name), weeks.values(), classes
         )
-        heatmaps[name] = appclass.class_heatmaps(selected, weeks)
+        heatmaps[name] = appclass.class_heatmaps(volumes, weeks)
         business[name] = {}
         weekly[name] = {}
         for cname in classes:
@@ -74,13 +74,13 @@ def run_fig09(scenario: Scenario,
                 try:
                     business[name][cname][stage] = (
                         appclass.business_hours_growth(
-                            selected[cname], weeks["base"], weeks[stage],
+                            volumes[cname], weeks["base"], weeks[stage],
                             vantage.region,
                         )
                     )
                     weekly[name][cname][stage] = (
                         appclass.weekly_class_growth(
-                            selected[cname], weeks["base"], weeks[stage]
+                            volumes[cname], weeks["base"], weeks[stage]
                         )
                     )
                 except ValueError:

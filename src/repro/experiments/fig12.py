@@ -34,10 +34,10 @@ def run_fig12(scenario: Scenario,
     result = ExperimentResult("fig12", "EDU connection-level analysis")
     if flows is None:
         flows = datasets.fetch(scenario, edu_capture_request(config))
-    internal = [EDU_NETWORK_ASN]
+    directions = edu_analysis.connection_direction(flows, [EDU_NETWORK_ASN])
     split = _dt.date(2020, 3, 11)
     summary = edu_analysis.directionality_summary(
-        flows, internal, timebase.EDU_CAPTURE_START,
+        flows, directions, timebase.EDU_CAPTURE_START,
         timebase.EDU_CAPTURE_END, split,
     )
     result.metrics["unknown-fraction"] = summary.unknown_fraction
@@ -70,7 +70,7 @@ def run_fig12(scenario: Scenario,
     growths = {}
     for cname, (lo, hi, direction) in class_targets.items():
         series = edu_analysis.daily_connections(
-            flows, internal, cname, direction,
+            flows, directions, cname, direction,
             timebase.EDU_CAPTURE_START, timebase.EDU_CAPTURE_END,
         )
         growth = series.growth_after(split)
@@ -98,11 +98,11 @@ def run_fig12(scenario: Scenario,
     )
     post_start, post_end = _dt.date(2020, 4, 13), _dt.date(2020, 4, 26)
     national_profile = edu_analysis.hourly_connection_profile(
-        flows, internal, "web", "in", post_start, post_end,
+        flows, directions, "web", "in", post_start, post_end,
         src_asns=national_asns,
     )
     overseas_profile = edu_analysis.hourly_connection_profile(
-        flows, internal, "web", "in", post_start, post_end,
+        flows, directions, "web", "in", post_start, post_end,
         src_asns=overseas_asns,
     )
     result.metrics["national/night-share"] = (

@@ -12,7 +12,9 @@ The table is immutable by convention: all operations return new tables
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -232,9 +234,7 @@ class FlowTable:
 
     def filter(self, mask: np.ndarray) -> "FlowTable":
         """Select rows where the boolean ``mask`` is true."""
-        mask = np.asarray(mask)
-        if mask.dtype != np.bool_ or mask.shape[0] != len(self):
-            raise ValueError("mask must be a boolean array of table length")
+        mask = self._check_mask(mask)
         result = FlowTable(
             {name: col[mask] for name, col in self._cols.items()}
         )
@@ -243,6 +243,12 @@ class FlowTable:
         registry.counter("table.filter-rows-in").inc(len(self))
         registry.counter("table.filter-rows-out").inc(len(result))
         return result
+
+    def _check_mask(self, mask: np.ndarray) -> np.ndarray:
+        mask = np.asarray(mask)
+        if mask.dtype != np.bool_ or mask.shape != (len(self),):
+            raise ValueError("mask must be a boolean array of table length")
+        return mask
 
     def take(self, indices: np.ndarray) -> "FlowTable":
         """The rows at integer ``indices``, in that order."""
@@ -310,7 +316,8 @@ class FlowTable:
         Computed on first use and reused by every aggregation over the
         same key — the engine behind :meth:`bytes_by`,
         :meth:`connections_by`, :meth:`bytes_by_transport_key`,
-        :meth:`hourly_bytes`, and :meth:`unique_ips_per_hour`.
+        :meth:`hourly_bytes`, :meth:`hourly_bytes_by` and
+        :meth:`unique_ips_per_hour`.
         """
         index = self._indexes.get(key)
         if index is not None:
@@ -349,29 +356,78 @@ class FlowTable:
         """Sum of the connection counters."""
         return int(self._cols["connections"].sum())
 
-    def hourly_bytes(self, start: int, stop: int) -> np.ndarray:
+    def hourly_bytes(
+        self, start: int, stop: int, where: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Byte volume per hourly bin over ``[start, stop)``.
 
         Returns an array of length ``stop - start``; hours with no flows
-        are zero.
+        are zero.  ``where``, a boolean mask of table length, sums only
+        the masked rows: the same int64 values as
+        ``filter(where).hourly_bytes(start, stop)``, without copying the
+        table.
         """
-        return self._bin_by_hour("n_bytes", start, stop)
+        return self._bin_by_hour("n_bytes", start, stop, where)
 
-    def hourly_connections(self, start: int, stop: int) -> np.ndarray:
-        """Connection count per hourly bin over ``[start, stop)``."""
-        return self._bin_by_hour("connections", start, stop)
+    def hourly_connections(
+        self, start: int, stop: int, where: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Connection count per hourly bin over ``[start, stop)``.
 
-    def _bin_by_hour(self, value_col: str, start: int, stop: int) -> np.ndarray:
-        """Exact per-hour sums of ``value_col`` over ``[start, stop)``.
+        ``where`` restricts the count to masked rows, as in
+        :meth:`hourly_bytes`.
+        """
+        return self._bin_by_hour("connections", start, stop, where)
 
-        Groups once over the full hour column (the index is shared by
-        every range) and scatters the in-range group sums into the
-        requested window.  Integer-exact: the old float64
-        ``np.bincount`` weights rounded totals above 2**53.
+    def hourly_bytes_by(
+        self, key: str, start: int, stop: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Byte volume per ``key`` value and hourly bin over ``[start, stop)``.
+
+        Returns the sorted unique key values (a column or derived key,
+        as in :meth:`group_index`) and an int64 matrix of shape
+        ``(n_keys, stop - start)`` whose row ``i`` equals
+        ``filter(key_array(key) == values[i]).hourly_bytes(start, stop)``.
+        One scatter over the in-range rows fills the whole matrix.
         """
         if stop <= start:
             raise ValueError("stop must be greater than start")
-        hours, sums = self._grouped_sums("hour", value_col)
+        index = self.group_index(key)
+        width = stop - start
+        hours = self._cols["hour"]
+        in_range = (hours >= start) & (hours < stop)
+        cells = index.codes[in_range] * width + (hours[in_range] - start)
+        out = np.zeros(index.n_groups * width, dtype=np.int64)
+        np.add.at(out, cells, self._cols["n_bytes"][in_range])
+        return index.values, out.reshape(index.n_groups, width)
+
+    def _bin_by_hour(
+        self,
+        value_col: str,
+        start: int,
+        stop: int,
+        where: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """Exact per-hour sums of ``value_col`` over ``[start, stop)``.
+
+        Groups once over the full hour column (the index is shared by
+        every range and every mask) and scatters the in-range group
+        sums into the requested window.  A ``where`` mask accumulates
+        only the masked rows into the hour groups with an int64
+        ``np.add.at``.  Integer-exact: the old float64 ``np.bincount``
+        weights rounded totals above 2**53.
+        """
+        if stop <= start:
+            raise ValueError("stop must be greater than start")
+        index = self.group_index("hour")
+        values = self._cols[value_col]
+        if where is None:
+            sums = index.sum(values)
+        else:
+            mask = self._check_mask(where)
+            sums = np.zeros(index.n_groups, dtype=values.dtype)
+            np.add.at(sums, index.codes[mask], values[mask])
+        hours = index.values
         out = np.zeros(stop - start, dtype=np.int64)
         in_range = (hours >= start) & (hours < stop)
         out[hours[in_range] - start] = sums[in_range]

@@ -54,9 +54,10 @@ class Prefix:
 class PrefixMap:
     """O(1) address-to-AS lookup over /16 allocations.
 
-    Also the home of each AS's deterministic server-address pools
-    (:meth:`server_pool`): they depend only on the allocation, so every
-    flow sampler of a scenario shares one copy.
+    Also the home of the deterministic address pools drawn inside an
+    AS's prefixes (:meth:`addresses_in`, :meth:`server_pool`): they
+    depend only on the allocation and a salt, so every flow sampler and
+    enterprise generator of a scenario shares one copy.
     """
 
     def __init__(self, table: np.ndarray, owners: Dict[int, List[Prefix]]):
@@ -64,7 +65,7 @@ class PrefixMap:
             raise ValueError("lookup table must have 65536 entries")
         self._table = table
         self._owners = owners
-        self._server_pools: Dict[Tuple[int, int], np.ndarray] = {}
+        self._pools: Dict[Tuple[int, int, int], np.ndarray] = {}
         self._pools_lock = threading.Lock()
 
     def asn_for(self, address: int) -> int:
@@ -84,24 +85,32 @@ class PrefixMap:
     def server_pool(self, asn: int, size: int) -> np.ndarray:
         """``asn``'s ``size`` stable server addresses (read-only).
 
-        Equal to ``deterministic_addresses_in(prefixes_of(asn), size,
-        salt=asn)``, built once per ``(asn, size)`` and shared by every
-        caller, so the array is frozen.  Raises ``ValueError`` for an
-        AS without prefixes.
+        :meth:`addresses_in` with the AS as its own salt.  Raises
+        ``ValueError`` for an AS without prefixes.
         """
-        asn, size = int(asn), int(size)
-        pool = self._server_pools.get((asn, size))
+        return self.addresses_in(asn, size, salt=asn)
+
+    def addresses_in(self, owner: int, size: int, salt: int) -> np.ndarray:
+        """``size`` stable addresses inside ``owner``'s prefixes (read-only).
+
+        Equal to ``deterministic_addresses_in(prefixes_of(owner), size,
+        salt)``, built once per ``(owner, size, salt)`` and shared by
+        every caller, so the array is frozen.  Raises ``ValueError`` for
+        an owner without prefixes.
+        """
+        key = (int(owner), int(size), int(salt))
+        pool = self._pools.get(key)
         if pool is not None:
             return pool
         with self._pools_lock:
-            pool = self._server_pools.get((asn, size))
+            pool = self._pools.get(key)
             if pool is None:
-                prefixes = self._owners.get(asn)
+                prefixes = self._owners.get(key[0])
                 if not prefixes:
-                    raise ValueError(f"AS {asn} has no allocated prefixes")
-                pool = deterministic_addresses_in(prefixes, size, salt=asn)
+                    raise ValueError(f"AS {owner} has no allocated prefixes")
+                pool = deterministic_addresses_in(prefixes, size, salt=salt)
                 pool.flags.writeable = False
-                self._server_pools[(asn, size)] = pool
+                self._pools[key] = pool
         return pool
 
     def owns(self, asn: int, address: int) -> bool:

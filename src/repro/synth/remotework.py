@@ -34,7 +34,7 @@ from repro import timebase
 from repro.flows.record import PROTO_TCP
 from repro.flows.table import FlowTable
 from repro.netbase.asdb import ASCategory, ASRegistry
-from repro.netbase.prefixes import PrefixMap, deterministic_addresses_in
+from repro.netbase.prefixes import PrefixMap
 from repro.synth import diurnal
 from repro.synth.flowgen import BYTES_PER_UNIT, EPHEMERAL_START
 
@@ -156,9 +156,7 @@ def generate_enterprise_flows(
         peer = int(hosting[asn % len(hosting)]) if hosting else eyeball
         peer_asns[i] = (eyeball, peer)
         for k, other in enumerate((eyeball, peer)):
-            peer_ips[i, k] = deterministic_addresses_in(
-                prefix_map.prefixes_of(other), 1, salt=asn
-            )[0]
+            peer_ips[i, k] = prefix_map.addresses_in(other, 1, salt=asn)[0]
         res_mult = behavior.lockdown_res_mult if lockdown_active else 1.0
         other_mult = behavior.lockdown_other_mult if lockdown_active else 1.0
         if lockdown_active and intensity != 1.0:

@@ -10,7 +10,7 @@ import repro.obs as obs
 from repro import cli
 from repro.flows.io import read_csv, read_npz
 from repro.flows.store import FlowStore
-from repro.experiments import REGISTRY, ExperimentResult
+from repro.experiments import REGISTRY, ExperimentResult, register
 from tests.store_drills import age_partition, flip_byte
 
 
@@ -53,6 +53,22 @@ class TestRun:
         cli.main(["run", "table2", "--fast", "-v"])
         out = capsys.readouterr().out
         assert "Netflix" in out
+
+    def test_experiment_registered_after_import_runs_and_lists(self, capsys):
+        def run_extra(scenario=None, config=None):
+            return ExperimentResult("extra", "Extra", checks={"ran": True})
+
+        register("extra", "Late extra", "§0", needs_scenario=False)(run_extra)
+        try:
+            assert cli.main(["list"]) == 0
+            # Without a runner docstring the line shows the spec title.
+            assert "extra    Late extra" in capsys.readouterr().out
+            assert cli.main(["run", "extra", "--fast"]) == 0
+            out = capsys.readouterr().out
+            assert "extra" in out
+            assert "PASS" in out
+        finally:
+            del REGISTRY["extra"]
 
 
 class TestGenerate:

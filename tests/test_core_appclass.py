@@ -157,7 +157,9 @@ class TestHeatmaps:
                 for week in weeks.values()
             ]
         )
-        return appclass.class_heatmaps(appclass.select_classes(flows), weeks)
+        return appclass.class_heatmaps(
+            appclass.class_volumes(flows, weeks.values()), weeks
+        )
 
     def test_every_class_has_heatmap(self, heatmaps):
         assert set(heatmaps) == set(appclass.standard_classes())
@@ -190,19 +192,20 @@ class TestHeatmaps:
         )
         with pytest.raises(ValueError):
             appclass.class_heatmaps(
-                appclass.select_classes(flows),
+                appclass.class_volumes(
+                    flows, [timebase.APPCLASS_WEEKS_IXP["base"]]
+                ),
                 {"stage1": timebase.APPCLASS_WEEKS_IXP["stage1"]},
             )
 
 
 class TestGrowthHelpers:
     def test_weekly_growth_requires_base_traffic(self):
-        empty = FlowTable.empty()
+        weeks = timebase.APPCLASS_WEEKS_IXP
+        empty = appclass.class_volumes(FlowTable.empty(), weeks.values())
         with pytest.raises(ValueError):
             appclass.weekly_class_growth(
-                empty,
-                timebase.APPCLASS_WEEKS_IXP["base"],
-                timebase.APPCLASS_WEEKS_IXP["stage1"],
+                empty["webconf"], weeks["base"], weeks["stage1"],
             )
 
     def test_business_hours_growth_positive_for_webconf(self, scenario):
@@ -213,9 +216,9 @@ class TestGrowthHelpers:
                 for week in weeks.values()
             ]
         )
-        cls = appclass.standard_classes()["webconf"]
+        volume = appclass.class_volumes(flows, weeks.values())["webconf"]
         growth = appclass.business_hours_growth(
-            cls.select(flows), weeks["base"], weeks["stage2"],
+            volume, weeks["base"], weeks["stage2"],
             timebase.Region.CENTRAL_EUROPE,
         )
         assert growth > 1.0

@@ -143,41 +143,58 @@ class TestWeeklyVolumes:
             assert week.days[0].weekday() == 3  # Thursday
 
 
+@pytest.fixture(scope="module")
+def edu_directions(edu_capture_flows):
+    return edu.connection_direction(edu_capture_flows, INTERNAL)
+
+
 class TestConnections:
-    def test_daily_connection_series(self, edu_capture_flows):
+    def test_daily_connection_series(self, edu_capture_flows, edu_directions):
         series = edu.daily_connections(
-            edu_capture_flows, INTERNAL, "ssh", "in",
+            edu_capture_flows, edu_directions, "ssh", "in",
             timebase.EDU_CAPTURE_START, timebase.EDU_CAPTURE_END,
         )
         assert len(series.days) == len(series.counts)
         assert series.days[0] == timebase.EDU_CAPTURE_START
 
-    def test_relative_to_first(self, edu_capture_flows):
+    def test_relative_to_first(self, edu_capture_flows, edu_directions):
         series = edu.daily_connections(
-            edu_capture_flows, INTERNAL, "web", "in",
+            edu_capture_flows, edu_directions, "web", "in",
             timebase.EDU_CAPTURE_START, timebase.EDU_CAPTURE_END,
         )
         relative = series.relative_to_first()
         assert relative[0] == pytest.approx(1.0)
 
-    def test_growth_after_split(self, edu_capture_flows):
+    def test_growth_after_split(self, edu_capture_flows, edu_directions):
         series = edu.daily_connections(
-            edu_capture_flows, INTERNAL, "vpn", "in",
+            edu_capture_flows, edu_directions, "vpn", "in",
             timebase.EDU_CAPTURE_START, timebase.EDU_CAPTURE_END,
         )
         growth = series.growth_after(dt.date(2020, 3, 11))
         assert growth > 2.0
 
-    def test_invalid_direction_rejected(self, edu_capture_flows):
+    def test_invalid_direction_rejected(
+        self, edu_capture_flows, edu_directions
+    ):
         with pytest.raises(ValueError):
             edu.daily_connections(
-                edu_capture_flows, INTERNAL, "web", "sideways",
+                edu_capture_flows, edu_directions, "web", "sideways",
                 timebase.EDU_CAPTURE_START, timebase.EDU_CAPTURE_END,
             )
 
-    def test_split_outside_period_rejected(self, edu_capture_flows):
+    def test_directions_must_label_every_flow(self, edu_capture_flows):
+        # The internal-AS list is not a direction label per flow.
+        with pytest.raises(ValueError, match="one connection_direction"):
+            edu.daily_connections(
+                edu_capture_flows, INTERNAL, "web", "in",
+                timebase.EDU_CAPTURE_START, timebase.EDU_CAPTURE_END,
+            )
+
+    def test_split_outside_period_rejected(
+        self, edu_capture_flows, edu_directions
+    ):
         series = edu.daily_connections(
-            edu_capture_flows, INTERNAL, "web", "in",
+            edu_capture_flows, edu_directions, "web", "in",
             timebase.EDU_CAPTURE_START, timebase.EDU_CAPTURE_END,
         )
         with pytest.raises(ValueError):
@@ -185,9 +202,9 @@ class TestConnections:
 
 
 class TestDirectionalitySummary:
-    def test_headline_numbers(self, edu_capture_flows):
+    def test_headline_numbers(self, edu_capture_flows, edu_directions):
         summary = edu.directionality_summary(
-            edu_capture_flows, INTERNAL,
+            edu_capture_flows, edu_directions,
             timebase.EDU_CAPTURE_START, timebase.EDU_CAPTURE_END,
             dt.date(2020, 3, 11),
         )
@@ -213,10 +230,10 @@ class TestOriginAnalysis:
         return national, overseas
 
     @pytest.fixture(scope="class")
-    def profiles(self, edu_capture_flows, region_asns):
+    def profiles(self, edu_capture_flows, edu_directions, region_asns):
         national, overseas = region_asns
         args = (
-            edu_capture_flows, INTERNAL, "web", "in",
+            edu_capture_flows, edu_directions, "web", "in",
             dt.date(2020, 4, 13), dt.date(2020, 4, 26),
         )
         return (
@@ -244,9 +261,11 @@ class TestOriginAnalysis:
             national
         )
 
-    def test_unrestricted_profile_covers_all(self, edu_capture_flows):
+    def test_unrestricted_profile_covers_all(
+        self, edu_capture_flows, edu_directions
+    ):
         profile = edu.hourly_connection_profile(
-            edu_capture_flows, INTERNAL, "web", "in",
+            edu_capture_flows, edu_directions, "web", "in",
             dt.date(2020, 4, 13), dt.date(2020, 4, 26),
         )
         assert profile.sum() > 0

@@ -22,11 +22,6 @@ class TestRegistryCompleteness:
     def test_ids_match_the_paper_set_in_order(self):
         assert list(REGISTRY) == PAPER_IDS
 
-    def test_experiments_dict_mirrors_registry(self):
-        assert list(experiments.EXPERIMENTS) == PAPER_IDS
-        for experiment_id, runner in experiments.EXPERIMENTS.items():
-            assert runner is REGISTRY[experiment_id].runner
-
     def test_specs_are_fully_populated(self):
         for spec in REGISTRY.values():
             assert isinstance(spec, ExperimentSpec)

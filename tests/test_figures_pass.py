@@ -3,7 +3,9 @@
 One cold ``run_all`` on a fresh world is shared by the module: it must
 build each server-address pool at most once, pass every paper check,
 and touch no query store.  A second pass on the same cache reads every
-dataset from it.
+dataset from it.  Figs. 7, 9 and 12 copy no rows into per-port,
+per-class or per-direction sub-tables, and answer exactly as if they
+did.
 
 The figures pass is pure batch analysis.  Whether the query engine
 serves Fig. 7's port mix and Fig. 8's hourly gaming series correctly is
@@ -14,6 +16,7 @@ against both :class:`FlowTable` and a plain-numpy reference.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 from typing import Dict
@@ -168,6 +171,110 @@ def test_fig07_missing_growth_rows_fail_their_checks(cold_pass, monkeypatch):
     for metric in ("isp-ce/quic-growth", "ixp-ce/udp4500-weekend",
                    "isp-ce/zoom-growth", "ixp-ce/cloudflare-growth"):
         assert math.isnan(result.metrics[metric])
+
+
+# -- per-port, per-class and per-direction sums without sub-tables ---------
+
+#: Experiments whose breakdowns read masked or per-key hourly sums.
+_BREAKDOWN_FIGURES = ["fig07", "fig09", "fig12"]
+
+
+def _sub_table_sums(patch: pytest.MonkeyPatch) -> None:
+    """Answer every masked or per-key hourly sum through ``filter``.
+
+    The reference path: each port, class or direction copies its rows
+    into a sub-table and bins that, as Figs. 7, 9 and 12 did before the
+    sums moved onto the parent table.
+    """
+    hourly_bytes = FlowTable.hourly_bytes
+    hourly_connections = FlowTable.hourly_connections
+
+    def bytes_via_filter(self, start, stop, where=None):
+        table = self if where is None else self.filter(where)
+        return hourly_bytes(table, start, stop)
+
+    def connections_via_filter(self, start, stop, where=None):
+        table = self if where is None else self.filter(where)
+        return hourly_connections(table, start, stop)
+
+    def bytes_by_via_filter(self, key, start, stop):
+        keys = self.key_array(key)
+        values = np.unique(keys)
+        rows = [hourly_bytes(self.filter(keys == value), start, stop)
+                for value in values]
+        return values, np.array(rows, dtype=np.int64).reshape(
+            len(values), stop - start
+        )
+
+    patch.setattr(FlowTable, "hourly_bytes", bytes_via_filter)
+    patch.setattr(FlowTable, "hourly_connections", connections_via_filter)
+    patch.setattr(FlowTable, "hourly_bytes_by", bytes_by_via_filter)
+
+
+def _count_filters(patch: pytest.MonkeyPatch) -> Counter:
+    calls: Counter = Counter()
+    table_filter = FlowTable.filter
+
+    def counting_filter(self, mask):
+        calls["filter"] += 1
+        return table_filter(self, mask)
+
+    patch.setattr(FlowTable, "filter", counting_filter)
+    return calls
+
+
+def _assert_same(got, want, path: str) -> None:
+    """Equal values, field by field; arrays and float reprs exactly."""
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), path
+        assert got.dtype == want.dtype, path
+        assert np.array_equal(got, want), path
+    elif dataclasses.is_dataclass(want):
+        assert type(got) is type(want), path
+        for field in dataclasses.fields(want):
+            _assert_same(getattr(got, field.name), getattr(want, field.name),
+                         f"{path}.{field.name}")
+    elif isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            _assert_same(got[key], want[key], f"{path}[{key!r}]")
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert repr(got) == repr(want), path
+    else:
+        assert got == want, path
+
+
+def test_breakdown_figures_build_no_sub_tables(cold_pass):
+    """The warm pass of Figs. 7, 9 and 12 copies no rows, and gives
+    what the sub-table path gives: metrics, checks, text and data."""
+    scenario, config, cache, *_ = cold_pass
+    with pytest.MonkeyPatch.context() as patch:
+        filters = _count_filters(patch)
+        with datasets.use_cache(cache):
+            results = run_all(
+                scenario, config, experiment_ids=_BREAKDOWN_FIGURES
+            )
+    assert filters == Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        filters = _count_filters(patch)
+        _sub_table_sums(patch)
+        with datasets.use_cache(cache):
+            reference = run_all(
+                scenario, config, experiment_ids=_BREAKDOWN_FIGURES
+            )
+    assert filters["filter"] > 0
+    for got, want in zip(results, reference):
+        assert got.experiment_id == want.experiment_id
+        assert got.passed
+        path = got.experiment_id
+        assert got.checks == want.checks, path
+        _assert_same(got.metrics, want.metrics, f"{path}.metrics")
+        assert got.rendered == want.rendered, path
+        _assert_same(got.data, want.data, f"{path}.data")
 
 
 # -- query-engine parity on the Fig. 7/8 datasets ---------------------------

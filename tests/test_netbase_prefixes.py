@@ -134,6 +134,18 @@ class TestServerPools:
             )
             assert np.array_equal(prefix_map.server_pool(asn, size), expected)
 
+    def test_salted_pool_equals_deterministic_addresses(self, prefix_map):
+        for owner, size, salt in ((100, 1, 200), (200, 1, 100), (100, 4, 7)):
+            expected = deterministic_addresses_in(
+                prefix_map.prefixes_of(owner), size, salt=salt
+            )
+            pool = prefix_map.addresses_in(owner, size, salt=salt)
+            assert np.array_equal(pool, expected)
+            assert prefix_map.addresses_in(owner, size, salt=salt) is pool
+        assert prefix_map.addresses_in(100, 8, salt=100) is (
+            prefix_map.server_pool(100, 8)
+        )
+
     def test_pool_is_shared_and_read_only(self, prefix_map):
         pool = prefix_map.server_pool(100, 8)
         assert prefix_map.server_pool(100, 8) is pool

@@ -8,7 +8,7 @@ are the codified version of EXPERIMENTS.md.
 import pytest
 
 from repro import experiments
-from repro.experiments import EXPERIMENTS, ExperimentResult, PipelineConfig
+from repro.experiments import REGISTRY, ExperimentResult, PipelineConfig
 
 
 @pytest.fixture(scope="module")
@@ -17,11 +17,11 @@ def results(scenario, fast_config):
         experiment_id: experiments.run_experiment(
             experiment_id, scenario, fast_config
         )
-        for experiment_id in EXPERIMENTS
+        for experiment_id in REGISTRY
     }
 
 
-@pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))
+@pytest.mark.parametrize("experiment_id", list(REGISTRY))
 def test_experiment_checks_pass(results, experiment_id):
     result = results[experiment_id]
     assert result.passed, (
@@ -30,7 +30,7 @@ def test_experiment_checks_pass(results, experiment_id):
     )
 
 
-@pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))
+@pytest.mark.parametrize("experiment_id", list(REGISTRY))
 def test_experiment_renders(results, experiment_id):
     assert results[experiment_id].rendered.strip()
 
