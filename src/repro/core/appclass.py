@@ -452,12 +452,13 @@ def business_hours_growth(
     def _mean_business(week: timebase.Week) -> float:
         hourly = volume.week(week).astype(np.float64)
         days = hourly.reshape(7, 24)
-        values = []
-        for i, day in enumerate(week.days()):
-            is_weekend = timebase.behaves_like_weekend(day, region)
-            if is_weekend == weekend:
-                values.append(days[i, h0:h1].mean())
-        return float(np.mean(values)) if values else 0.0
+        keep = np.array([
+            timebase.behaves_like_weekend(day, region) == weekend
+            for day in week.days()
+        ])
+        if not keep.any():
+            return 0.0
+        return float(np.mean(days[keep, h0:h1].mean(axis=1)))
 
     base = _mean_business(base_week)
     stage = _mean_business(stage_week)

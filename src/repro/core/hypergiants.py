@@ -65,25 +65,38 @@ def _weekly_daypart_volumes(
     flows: FlowTable,
     region: timebase.Region,
     weeks: Sequence[int],
+    where: np.ndarray,
 ) -> Dict[Tuple[str, str], Dict[int, float]]:
-    """Raw byte volume per (day kind, daypart, week), averaged per day."""
+    """Raw byte volume of the ``where`` rows per (day kind, daypart,
+    week), averaged per day.
+
+    One exact per-hour sum over the weeks' span; each daypart is an
+    int64 slice of it.  Weeks with no study days get no entry.
+    """
+    days_of = {week: timebase.iso_week_dates(week) for week in weeks}
+    starts = [
+        timebase.hour_index(day, 0)
+        for days in days_of.values()
+        for day in days
+    ]
+    if not starts:
+        return {curve: {} for curve in CURVES}
+    lo = min(starts)
+    hourly = flows.hourly_bytes(lo, max(starts) + 24, where=where)
     volumes: Dict[Tuple[str, str], Dict[int, List[float]]] = {
         curve: {} for curve in CURVES
     }
-    hours = flows.column("hour")
-    n_bytes = flows.column("n_bytes")
     for week in weeks:
-        for day in timebase.iso_week_dates(week):
+        for day in days_of[week]:
             kind = (
                 "weekend"
                 if timebase.behaves_like_weekend(day, region)
                 else "workday"
             )
-            day_start = timebase.hour_index(day, 0)
+            day_start = timebase.hour_index(day, 0) - lo
             for daypart, (h0, h1) in DAYPARTS.items():
-                mask = (hours >= day_start + h0) & (hours < day_start + h1)
                 volumes[(kind, daypart)].setdefault(week, []).append(
-                    float(n_bytes[mask].sum())
+                    float(hourly[day_start + h0 : day_start + h1].sum())
                 )
     return {
         curve: {week: float(np.mean(vals)) for week, vals in per_week.items()}
@@ -115,8 +128,7 @@ def group_growth(
     masks["other"] = ~masks["hypergiants"]
     result: Dict[str, GroupGrowth] = {}
     for group, mask in masks.items():
-        sub = flows.filter(mask)
-        raw = _weekly_daypart_volumes(sub, region, weeks)
+        raw = _weekly_daypart_volumes(flows, region, weeks, where=mask)
         curves: Dict[Tuple[str, str], Dict[int, float]] = {}
         for curve, per_week in raw.items():
             base = per_week.get(baseline_week)

@@ -113,10 +113,15 @@ class VPNWeekPattern:
 
 
 def _mean_profiles(
-    flows: FlowTable, week: timebase.Week, region: timebase.Region
+    flows: FlowTable,
+    week: timebase.Week,
+    region: timebase.Region,
+    where: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean hourly bytes of the ``where`` rows on the week's workdays
+    and weekend days."""
     start, stop = week.hour_range()
-    hourly = flows.hourly_bytes(start, stop).astype(np.float64)
+    hourly = flows.hourly_bytes(start, stop, where=where).astype(np.float64)
     days = hourly.reshape(7, 24)
     workdays, weekends = [], []
     for i, day in enumerate(week.days()):
@@ -140,13 +145,13 @@ def vpn_week_patterns(
     All series are normalized by the joint maximum, preserving relative
     levels between methods and weeks.
     """
-    port_flows = flows.filter(port_based_mask(flows))
-    domain_flows = flows.filter(domain_based_mask(flows, candidates))
+    port_mask = port_based_mask(flows)
+    domain_mask = domain_based_mask(flows, candidates)
     raw: Dict[str, Tuple[np.ndarray, ...]] = {}
     peak = 0.0
     for label, week in weeks.items():
-        p_wd, p_we = _mean_profiles(port_flows, week, region)
-        d_wd, d_we = _mean_profiles(domain_flows, week, region)
+        p_wd, p_we = _mean_profiles(flows, week, region, where=port_mask)
+        d_wd, d_we = _mean_profiles(flows, week, region, where=domain_mask)
         raw[label] = (p_wd, p_we, d_wd, d_we)
         peak = max(
             peak, p_wd.max(), p_we.max(), d_wd.max(), d_we.max()

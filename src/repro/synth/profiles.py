@@ -224,9 +224,10 @@ _GROWTH_EPOCH = _dt.date(2020, 1, 1)
 class DayContext:
     """Per-day inputs of the intensity model over a run of days.
 
-    Built once per date range and shared by every profile evaluated
-    over it, so the weekend flags, phase lookups and ramp positions are
-    worked out once per day rather than once per day and profile.
+    A vantage builds one over the study period and shares it with
+    every profile it evaluates, so the weekend flags, phase lookups and
+    ramp positions are worked out once per day rather than once per
+    day and profile.
     Every array has one entry per day of ``days``.
     """
 

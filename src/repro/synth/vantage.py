@@ -21,7 +21,7 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,7 +103,9 @@ class VantagePoint:
         self._edu_internal = tuple(edu_internal_asns)
         self._hour_noise_sigma = hour_noise_sigma
         self._day_noise_sigma = day_noise_sigma
-        self._noise_cache: Dict[str, np.ndarray] = {}
+        #: Per-profile study-period volumes (:meth:`_model`).
+        self._models: Dict[str, np.ndarray] = {}
+        self._study_days: Optional[DayContext] = None
         #: Resolved AS pools shared by this vantage's flow samplers.
         self._pools: Dict[object, object] = {}
 
@@ -114,26 +116,22 @@ class VantagePoint:
         return sorted(self.mix)
 
     def _noise_for(self, profile_name: str) -> np.ndarray:
-        """Multiplicative noise over the full study period (cached).
+        """Multiplicative noise over the full study period.
 
         Combines hour-level jitter with slower day-level jitter so the
         same calendar hour gets the same noise regardless of the query
         range.
         """
-        noise = self._noise_cache.get(profile_name)
-        if noise is None:
-            rng = np.random.default_rng(
-                _stable_hash(self.seed, self.name, profile_name)
-            )
-            hour_noise = rng.lognormal(
-                0.0, self._hour_noise_sigma, timebase.STUDY_HOURS
-            )
-            day_noise = rng.lognormal(
-                0.0, self._day_noise_sigma, timebase.STUDY_DAYS
-            )
-            noise = hour_noise * np.repeat(day_noise, 24)
-            self._noise_cache[profile_name] = noise
-        return noise
+        rng = np.random.default_rng(
+            _stable_hash(self.seed, self.name, profile_name)
+        )
+        hour_noise = rng.lognormal(
+            0.0, self._hour_noise_sigma, timebase.STUDY_HOURS
+        )
+        day_noise = rng.lognormal(
+            0.0, self._day_noise_sigma, timebase.STUDY_DAYS
+        )
+        return hour_noise * np.repeat(day_noise, 24)
 
     def _use(self, profile_name: str) -> ProfileUse:
         use = self.mix.get(profile_name)
@@ -143,32 +141,31 @@ class VantagePoint:
             )
         return use
 
-    def _day_context(
-        self, start_day: _dt.date, end_day: _dt.date
-    ) -> DayContext:
-        """The intensity model's per-day inputs over a date range."""
-        if end_day < start_day:
-            raise ValueError("end_day precedes start_day")
-        if start_day < timebase.STUDY_START or end_day > timebase.STUDY_END:
-            raise ValueError(
-                f"range {start_day}..{end_day} is outside the study "
-                f"period {timebase.STUDY_START}..{timebase.STUDY_END}"
-            )
-        days = list(timebase.iter_days(start_day, end_day))
-        world = self.world
-        if world is None:
-            weekend_of = timebase.behaves_like_weekend
-            attenuation = None
-        else:
-            weekend_of = world.behaves_like_weekend
-            attenuation = [world.wfh_attenuation(d, self.name) for d in days]
-        weekend = [weekend_of(d, self.region) for d in days]
-        return DayContext.build(days, self.timeline, weekend, attenuation)
+    def _study_context(self) -> DayContext:
+        """The intensity model's per-day inputs over the study period."""
+        days = self._study_days
+        if days is None:
+            dates = list(timebase.iter_days())
+            world = self.world
+            if world is None:
+                weekend_of = timebase.behaves_like_weekend
+                attenuation = None
+            else:
+                weekend_of = world.behaves_like_weekend
+                attenuation = [
+                    world.wfh_attenuation(d, self.name) for d in dates
+                ]
+            weekend = [weekend_of(d, self.region) for d in dates]
+            days = DayContext.build(dates, self.timeline, weekend, attenuation)
+            self._study_days = days
+        return days
 
-    def _volumes(self, profile_name: str, days: DayContext) -> np.ndarray:
-        """Hourly volumes of one profile over ``days``, noise applied."""
+    def _evaluate(self, profile_name: str) -> np.ndarray:
+        """Hourly volumes of one profile over the study period, noise
+        applied."""
         use = self._use(profile_name)
         profile = use.profile
+        days = self._study_context()
         mult = profile.multipliers(days)
         world = self.world
         if world is not None and world.has_volume_events:
@@ -184,11 +181,40 @@ class VantagePoint:
             mult = np.where(att > 0.0, 1.0 + (mult - 1.0) * (1.0 - att), mult)
         daily = self.base_daily_volume * use.share * mult
         values = (daily / 24.0)[:, None] * profile.day_shapes(days)
-        start_hour = timebase.hour_index(days.days[0], 0)
-        noise = self._noise_for(profile_name)[
-            start_hour : start_hour + values.size
-        ]
-        return values.reshape(-1) * noise
+        return values.reshape(-1) * self._noise_for(profile_name)
+
+    def _model(self, profile_name: str) -> np.ndarray:
+        """One profile's study-period volumes, evaluated once (read-only).
+
+        Every operation of the model is elementwise per day, so a slice
+        of this array equals the model evaluated over the slice's range.
+        Threads that race on a first evaluation keep the first stored
+        array.
+        """
+        volumes = self._models.get(profile_name)
+        if volumes is None:
+            volumes = self._evaluate(profile_name)
+            volumes.flags.writeable = False
+            obs.get_registry().counter("vantage.profile-evaluations").inc()
+            volumes = self._models.setdefault(profile_name, volumes)
+        return volumes
+
+    def _hour_span(
+        self, start_day: _dt.date, end_day: _dt.date
+    ) -> Tuple[int, int]:
+        """The half-open hour range of ``start_day..end_day`` (inclusive),
+        which must lie inside the study period."""
+        if end_day < start_day:
+            raise ValueError("end_day precedes start_day")
+        if start_day < timebase.STUDY_START or end_day > timebase.STUDY_END:
+            raise ValueError(
+                f"range {start_day}..{end_day} is outside the study "
+                f"period {timebase.STUDY_START}..{timebase.STUDY_END}"
+            )
+        return (
+            timebase.hour_index(start_day, 0),
+            timebase.hour_index(end_day, 0) + 24,
+        )
 
     def profile_volumes(
         self,
@@ -201,13 +227,12 @@ class VantagePoint:
         ``end_day`` is inclusive and the range must lie inside the
         study period (``ValueError`` otherwise).  One model unit
         corresponds to :data:`repro.synth.flowgen.BYTES_PER_UNIT` bytes
-        in sampled flows.
+        in sampled flows.  The values are a writable copy.
         """
         self._use(profile_name)
-        days = self._day_context(start_day, end_day)
+        start, stop = self._hour_span(start_day, end_day)
         return HourlySeries(
-            timebase.hour_index(start_day, 0),
-            self._volumes(profile_name, days),
+            start, self._model(profile_name)[start:stop].copy()
         )
 
     def hourly_traffic(
@@ -218,17 +243,18 @@ class VantagePoint:
     ) -> HourlySeries:
         """Total hourly volume over a date range (inclusive).
 
-        ``profiles`` restricts to a subset of the mix (default: all).
+        ``profiles`` restricts to a subset of the mix (default: all);
+        the profiles are summed in name order.
         """
         names = sorted(profiles) if profiles is not None else self.profile_names()
         if not names:
             raise ValueError("profiles selection is empty")
         obs.get_registry().counter("vantage.hourly-queries").inc()
-        days = self._day_context(start_day, end_day)
-        total = self._volumes(names[0], days)
+        start, stop = self._hour_span(start_day, end_day)
+        total = self._model(names[0])[start:stop].copy()
         for name in names[1:]:
-            total = total + self._volumes(name, days)
-        return HourlySeries(timebase.hour_index(start_day, 0), total)
+            total += self._model(name)[start:stop]
+        return HourlySeries(start, total)
 
     # -- flow sampling -----------------------------------------------------------
 
@@ -262,11 +288,12 @@ class VantagePoint:
         )
         sampler = self._sampler(stream)
         with obs.span(f"vantage/{self.name}/generate-flows") as span:
-            days = self._day_context(start_day, end_day)
-            start_hour = timebase.hour_index(start_day, 0)
+            start, stop = self._hour_span(start_day, end_day)
             tables = []
             for name in names:
-                volumes = HourlySeries(start_hour, self._volumes(name, days))
+                volumes = HourlySeries(
+                    start, self._model(name)[start:stop].copy()
+                )
                 tables.append(
                     sampler.sample_profile(
                         self.mix[name].profile, volumes, fidelity

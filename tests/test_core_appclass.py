@@ -4,6 +4,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import timebase
 from repro.core import appclass
@@ -222,3 +224,88 @@ class TestGrowthHelpers:
             timebase.Region.CENTRAL_EUROPE,
         )
         assert growth > 1.0
+
+
+def _loop_business_hours_growth(volume, base_week, stage_week, region,
+                                hours=(9, 17), weekend=False):
+    """Reference: the per-day loop ``business_hours_growth`` replaced."""
+    h0, h1 = hours
+
+    def _mean_business(week):
+        days = volume.week(week).astype(np.float64).reshape(7, 24)
+        values = []
+        for i, day in enumerate(week.days()):
+            if timebase.behaves_like_weekend(day, region) == weekend:
+                values.append(days[i, h0:h1].mean())
+        return float(np.mean(values)) if values else 0.0
+
+    base = _mean_business(base_week)
+    stage = _mean_business(stage_week)
+    if base <= 0:
+        raise ValueError("base week has no traffic for the class")
+    return stage / base - 1.0
+
+
+#: Week starts for the business-hours cases.  Dec 31, 2019 starts a
+#: week whose seven days all behave like weekend days (New Year
+#: vacation), so no workday matches; Apr 6 holds the Easter holidays.
+BUSINESS_WEEK_STARTS = (
+    dt.date(2019, 12, 31), dt.date(2020, 1, 8), dt.date(2020, 2, 19),
+    dt.date(2020, 4, 6), dt.date(2020, 5, 11),
+)
+
+
+class TestBusinessHoursGrowthMatchesLoop:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        base_start=st.sampled_from(BUSINESS_WEEK_STARTS),
+        stage_start=st.sampled_from(BUSINESS_WEEK_STARTS),
+        hours=st.tuples(st.integers(0, 23), st.integers(1, 24)).filter(
+            lambda h: h[0] < h[1]
+        ),
+        weekend=st.booleans(),
+        large=st.booleans(),
+        region=st.sampled_from(list(timebase.Region)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_per_day_loop(
+        self, seed, base_start, stage_start, hours, weekend, large, region
+    ):
+        start_hour = timebase.hour_index(BUSINESS_WEEK_STARTS[0], 0)
+        stop_hour = timebase.hour_index(BUSINESS_WEEK_STARTS[-1], 0) + 168
+        rng = np.random.default_rng(seed)
+        high = 2**60 if large else 10**7
+        volume = appclass.ClassVolume(
+            start_hour, rng.integers(0, high, stop_hour - start_hour)
+        )
+        base = timebase.Week(base_start)
+        stage = timebase.Week(stage_start)
+        try:
+            expected = _loop_business_hours_growth(
+                volume, base, stage, region, hours, weekend
+            )
+        except ValueError:
+            with pytest.raises(ValueError):
+                appclass.business_hours_growth(
+                    volume, base, stage, region, hours, weekend
+                )
+            return
+        got = appclass.business_hours_growth(
+            volume, base, stage, region, hours, weekend
+        )
+        assert got == expected
+
+    def test_no_matching_day(self):
+        # Every day of the New Year week behaves like a weekend day.
+        volume = appclass.ClassVolume(
+            timebase.hour_index(dt.date(2019, 12, 31), 0),
+            np.full(14 * 24, 1000, dtype=np.int64),
+        )
+        new_year = timebase.Week(dt.date(2019, 12, 31))
+        later = timebase.Week(dt.date(2020, 1, 7))
+        region = timebase.Region.CENTRAL_EUROPE
+        assert appclass.business_hours_growth(
+            volume, later, new_year, region
+        ) == -1.0
+        with pytest.raises(ValueError, match="base week"):
+            appclass.business_hours_growth(volume, new_year, later, region)

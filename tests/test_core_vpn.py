@@ -105,22 +105,88 @@ class TestDomainBased:
         assert not vpn.domain_based_mask(table, empty).any()
 
 
+def _filter_week_patterns(flows, weeks, region, candidates):
+    """Reference: Fig 10's patterns from one sub-table per method, as
+    ``vpn_week_patterns`` computed them before it summed masked rows."""
+    sub_tables = (
+        flows.filter(vpn.port_based_mask(flows)),
+        flows.filter(vpn.domain_based_mask(flows, candidates)),
+    )
+    raw = {}
+    for label, week in weeks.items():
+        arrays = []
+        for sub in sub_tables:
+            start, stop = week.hour_range()
+            days = sub.hourly_bytes(start, stop).astype(np.float64)
+            days = days.reshape(7, 24)
+            workdays, weekends = [], []
+            for i, day in enumerate(week.days()):
+                if timebase.behaves_like_weekend(day, region):
+                    weekends.append(days[i])
+                else:
+                    workdays.append(days[i])
+            arrays.append(
+                np.mean(workdays, axis=0) if workdays else np.zeros(24)
+            )
+            arrays.append(
+                np.mean(weekends, axis=0) if weekends else np.zeros(24)
+            )
+        raw[label] = arrays
+    peak = max(max(a.max() for a in arrays) for arrays in raw.values())
+    peak = peak if peak > 0 else 1.0
+    return {label: [a / peak for a in arrays] for label, arrays in raw.items()}
+
+
 class TestWeekPatterns:
     @pytest.fixture(scope="class")
-    def patterns(self, scenario, candidates):
-        weeks = {
+    def weeks(self):
+        return {
             "february": timebase.Week(dt.date(2020, 2, 20), "february"),
             "march": timebase.Week(dt.date(2020, 3, 19), "march"),
         }
-        flows = FlowTable.concat(
+
+    @pytest.fixture(scope="class")
+    def week_flows(self, scenario, weeks):
+        return FlowTable.concat(
             [
                 scenario.ixp_ce.generate_week_flows(week, fidelity=0.6)
                 for week in weeks.values()
             ]
         )
+
+    @pytest.fixture(scope="class")
+    def patterns(self, week_flows, weeks, candidates):
         return vpn.vpn_week_patterns(
-            flows, weeks, timebase.Region.CENTRAL_EUROPE, candidates
+            week_flows, weeks, timebase.Region.CENTRAL_EUROPE, candidates
         )
+
+    def test_matches_filter_reference(self, patterns, week_flows, weeks,
+                                      candidates):
+        expected = _filter_week_patterns(
+            week_flows, weeks, timebase.Region.CENTRAL_EUROPE, candidates
+        )
+        for label, arrays in expected.items():
+            got = patterns[label]
+            for have, want in zip(
+                (got.port_workday, got.port_weekend,
+                 got.domain_workday, got.domain_weekend),
+                arrays,
+            ):
+                assert have.dtype == want.dtype
+                assert np.array_equal(have, want), label
+
+    def test_empty_table_matches_filter_reference(self, weeks, candidates):
+        region = timebase.Region.CENTRAL_EUROPE
+        patterns = vpn.vpn_week_patterns(
+            FlowTable.empty(), weeks, region, candidates
+        )
+        expected = _filter_week_patterns(
+            FlowTable.empty(), weeks, region, candidates
+        )
+        for label, arrays in expected.items():
+            got = patterns[label]
+            assert np.array_equal(got.port_workday, arrays[0])
+            assert np.array_equal(got.domain_weekend, arrays[3])
 
     def test_jointly_normalized(self, patterns):
         peak = max(

@@ -1,10 +1,15 @@
 """Unit tests for vantage-point traffic models."""
 
 import datetime as dt
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.obs as obs
 from repro import build_scenario, timebase
 from repro.synth import diurnal
 from repro.synth.flowgen import BYTES_PER_UNIT
@@ -67,7 +72,7 @@ class TestIntensityModel:
         narrow = scenario.isp_ce.profile_volumes(
             "quic", dt.date(2020, 2, 20), dt.date(2020, 2, 20)
         )
-        assert np.allclose(
+        assert np.array_equal(
             wide.slice_day(dt.date(2020, 2, 20)).values, narrow.values
         )
 
@@ -163,10 +168,6 @@ def _naive_profile_volumes(vantage, name, start_day, end_day):
 class TestArrayPathMatchesDayLoop:
     """The array-at-once intensity model is bit-identical to the loop."""
 
-    @pytest.fixture(scope="class")
-    def event_scenario(self):
-        return build_scenario(spec=event_spec())
-
     def _check(self, scenario):
         start, end = timebase.STUDY_START, timebase.STUDY_END
         for vantage in scenario.vantages.values():
@@ -207,6 +208,145 @@ class TestArrayPathMatchesDayLoop:
                     ) == _naive_multiplier(
                         profile, day, vantage.timeline, weekend
                     )
+
+
+@pytest.fixture(scope="module")
+def event_scenario():
+    return build_scenario(spec=event_spec())
+
+
+@st.composite
+def model_queries(draw):
+    """(vantage name, first day, last day, seed of the profile subset)."""
+    vantage = draw(st.sampled_from(
+        ["edu", "ipx", "isp-ce", "ixp-ce", "ixp-se", "ixp-us", "mobile-ce"]
+    ))
+    first = draw(st.integers(0, timebase.STUDY_DAYS - 1))
+    last = draw(st.integers(first, min(first + 40, timebase.STUDY_DAYS - 1)))
+    return (
+        vantage,
+        timebase.day_index_to_date(first),
+        timebase.day_index_to_date(last),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestIntensityModelMemo:
+    """Each (vantage, profile) is evaluated once over the study period;
+    every query is a copied slice of that evaluation."""
+
+    def _check_ranges(self, scenario, query):
+        name, start, end, pick = query
+        vantage = scenario.vantages[name]
+        names = vantage.profile_names()
+        rng = np.random.default_rng(pick)
+        subset = sorted(
+            str(profile) for profile in rng.choice(
+                names, rng.integers(1, len(names) + 1), replace=False
+            )
+        )
+        expected = {
+            profile: _naive_profile_volumes(vantage, profile, start, end)
+            for profile in subset
+        }
+        for profile in subset:
+            series = vantage.profile_volumes(profile, start, end)
+            assert series.start_hour == timebase.hour_index(start, 0)
+            assert np.array_equal(series.values, expected[profile])
+        total = expected[subset[0]].copy()
+        for profile in subset[1:]:
+            total = total + expected[profile]
+        # The caller's order does not matter: profiles sum by name.
+        traffic = vantage.hourly_traffic(start, end, profiles=subset[::-1])
+        assert np.array_equal(traffic.values, total)
+
+    @given(query=model_queries())
+    @settings(max_examples=40, deadline=None)
+    def test_ranges_match_day_loop_default_world(self, scenario, query):
+        self._check_ranges(scenario, query)
+
+    @given(query=model_queries())
+    @settings(max_examples=40, deadline=None)
+    def test_ranges_match_day_loop_event_world(self, event_scenario, query):
+        self._check_ranges(event_scenario, query)
+
+    def test_each_profile_evaluated_once(self):
+        vantage = build_scenario().ixp_se
+        names = vantage.profile_names()
+        obs.configure(telemetry=True)
+        try:
+            counter = obs.get_registry().counter(
+                "vantage.profile-evaluations"
+            )
+            week = timebase.MACRO_WEEKS["base"]
+            vantage.profile_volumes(names[0], week.start, week.end)
+            assert counter.value == 1
+            for _ in range(2):
+                vantage.hourly_traffic(week.start, week.end)
+                vantage.hourly_traffic(
+                    timebase.STUDY_START, timebase.STUDY_END, names[:2]
+                )
+                for name in names:
+                    vantage.profile_volumes(name, week.start, week.end)
+                vantage.generate_week_flows(week, fidelity=0.05)
+            assert counter.value == len(names)
+        finally:
+            obs.reset()
+
+    def test_returned_series_are_copies(self, scenario):
+        vantage = scenario.isp_ce
+        start, end = dt.date(2020, 3, 2), dt.date(2020, 3, 3)
+        series = vantage.profile_volumes("quic", start, end)
+        expected = series.values.copy()
+        series.values[:] = -1.0
+        assert np.array_equal(
+            vantage.profile_volumes("quic", start, end).values, expected
+        )
+        total = vantage.hourly_traffic(start, end)
+        expected_total = total.values.copy()
+        total.values[:] = 0.0
+        assert np.array_equal(
+            vantage.hourly_traffic(start, end).values, expected_total
+        )
+        single = vantage.hourly_traffic(start, end, profiles=["quic"])
+        single.values[0] = 0.0
+        assert np.array_equal(
+            vantage.profile_volumes("quic", start, end).values, expected
+        )
+        # The memo itself refuses writes.
+        with pytest.raises(ValueError):
+            vantage._model("quic")[0] = 0.0
+
+    def test_threads_share_one_model(self, scenario):
+        # More threads than cores and a short switch interval, so first
+        # evaluations of a fresh vantage interleave.
+        n_threads = 8
+        vantage = build_scenario().isp_ce
+        start, end = timebase.STUDY_START, timebase.STUDY_END
+        barrier = threading.Barrier(n_threads, timeout=30)
+        results = [None] * n_threads
+
+        def query(slot):
+            barrier.wait()
+            results[slot] = vantage.hourly_traffic(start, end).values
+
+        threads = [
+            threading.Thread(target=query, args=(i,))
+            for i in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = scenario.isp_ce.hourly_traffic(start, end).values
+        for values in results:
+            assert np.array_equal(values, expected)
 
 
 class TestFlowGeneration:
