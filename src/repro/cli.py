@@ -442,7 +442,6 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
     stats, unreadable = store.column_stats()
     total_raw = sum(int(e["raw_nbytes"]) for e in stats.values())
     total_stored = sum(int(e["stored_nbytes"]) for e in stats.values())
-    total_index = sum(int(e["index_nbytes"]) for e in stats.values())
     if args.json:
         payload = {
             "store": str(store.root),
@@ -451,7 +450,6 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
             "columns": stats,
             "total_raw_nbytes": total_raw,
             "total_stored_nbytes": total_stored,
-            "total_index_nbytes": total_index,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -468,7 +466,7 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
         return 0
     header = (
         f"{'column':<12} {'encoding':<12} {'card':>6} "
-        f"{'raw':>12} {'stored':>12} {'index':>9} {'ratio':>6}"
+        f"{'raw':>12} {'stored':>12} {'ratio':>6}"
     )
     print(header)
     for name, entry in stats.items():
@@ -479,13 +477,12 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
         print(
             f"{name:<12} {'/'.join(entry['encodings']):<12} "
             f"{card if card is not None else '-':>6} "
-            f"{raw:>12,} {stored:>12,} "
-            f"{int(entry['index_nbytes']):>9,} {ratio:>6.2f}"
+            f"{raw:>12,} {stored:>12,} {ratio:>6.2f}"
         )
     overall = total_stored / total_raw if total_raw else 1.0
     print(
         f"{'total':<12} {'':<12} {'':>6} {total_raw:>12,} "
-        f"{total_stored:>12,} {total_index:>9,} {overall:>6.2f}"
+        f"{total_stored:>12,} {overall:>6.2f}"
     )
     return 0
 

@@ -7,20 +7,19 @@ parts and a JSON sidecar that describes them::
     store/
       manifest.json            entries carry {"format": 3, "sha256": ...}
       2020-03-25/
-        sidecar.json           encodings, per-part sha256, zones, indexes
+        sidecar.json           encodings, per-part sha256, zones
         segments.bin           all encoded column parts, one mmap
 
 Columns are encoded at seal time (see :mod:`repro.flows.encodings`).
 Low-cardinality columns are dictionary-encoded (sorted uniques + small
-codes) and, at very low cardinality, also get a serialized **bitmap
-index** (one packed bit-row per distinct value).  Near-sorted columns
-(``hour``) are delta + bit-packed.  Everything else is stored raw.
+codes).  Near-sorted columns (``hour``) are delta + bit-packed.
+Everything else is stored raw.
 
 The sidecar holds, per column, the dtype, raw byte size, encoding,
 min/max (the **zone map**) and each part's offset, size and SHA-256,
 plus the partition row count, conservative zones for the derived keys
 (``service_port``, ``transport``) and pre-aggregated per-hour
-``bytes``/``flows`` totals.  That makes four optimizations possible:
+``bytes``/``flows`` totals.  That makes three optimizations possible:
 
 * **Projection pushdown** — :meth:`ColumnarPartition.load` decodes only
   the columns a query references, and verifies checksums only for
@@ -28,11 +27,6 @@ plus the partition row count, conservative zones for the derived keys
 * **Data skipping** — the planner prunes partitions whose zone map
   (actual hour range, predicate column and derived-key bounds) cannot
   match;
-* **Predicate-first scans** — equality/membership predicates are
-  evaluated on dictionary codes or by OR/AND-ing bitmap rows *before*
-  any row data is materialized, and only the surviving rows of the
-  referenced columns are gathered
-  (:meth:`ColumnarPartition.load_filtered`);
 * **Pre-aggregate answers** — unfiltered ``bytes``/``flows`` totals
   (whole-day or per-hour) come straight from the sidecar.
 
@@ -42,7 +36,10 @@ the part makes repeated warm queries skip re-hashing entirely.
 
 A sidecar of any other ``format`` is refused with
 :class:`FlowStoreError`: stores are derived data, rebuilt with
-``repro generate --store``.
+``repro generate --store``.  Keys a reader does not use are ignored,
+so sidecars sealed with the ``indexes`` block and per-value
+``values``/``counts`` lists of earlier versions still read: every part
+is addressed by its own offset.
 """
 
 from __future__ import annotations
@@ -64,7 +61,6 @@ from repro.flows.groupby import GroupIndex
 from repro.flows.io import file_sha256
 from repro.flows.table import (
     COLUMNS,
-    DERIVED_BASE_COLUMNS,
     DERIVED_KEYS,
     FlowTable,
     compute_service_port,
@@ -101,26 +97,6 @@ class FlowStoreError(Exception):
     (Re-exported as :class:`repro.flows.store.FlowStoreError`, its
     historical home.)
     """
-
-
-def required_base_columns(names: Iterable[str]) -> Tuple[str, ...]:
-    """Expand column/derived-key names into physical columns, sorted.
-
-    Derived keys (``service_port``, ``transport``) expand into the base
-    columns they are computed from; unknown names raise ``KeyError``.
-    """
-    base = set()
-    for name in names:
-        if name in COLUMNS:
-            base.add(name)
-        elif name in DERIVED_BASE_COLUMNS:
-            base.update(DERIVED_BASE_COLUMNS[name])
-        else:
-            raise KeyError(
-                f"unknown column or derived key {name!r}; columns are "
-                f"{sorted(COLUMNS)} and derived keys are {DERIVED_KEYS}"
-            )
-    return tuple(sorted(base))
 
 
 # -- checksum verification ----------------------------------------------------
@@ -301,12 +277,12 @@ class RangeSeal:
     def _dictionaries(self) -> Dict[str, tuple]:
         dictionaries = {}
         for name in COLUMNS:
-            values, codes, counts, value_bounds = encodings.segment_unique(
+            values, codes, _, value_bounds = encodings.segment_unique(
                 self._range_column(name), self._bounds)
             # The codes live as long as the seal: keep them narrow.
             widest = int(np.diff(value_bounds).max(initial=1))
             codes = codes.astype(encodings.codes_dtype(widest))
-            dictionaries[name] = (values, codes, counts, value_bounds)
+            dictionaries[name] = (values, codes, value_bounds)
         return dictionaries
 
     @cached_property
@@ -346,15 +322,13 @@ class RangeSeal:
         return zones
 
     def _day_dictionary(self, i: int, name: str) -> tuple:
-        """``_unique`` of day ``i``'s ``name`` column: values, codes, counts."""
-        values, codes, counts, value_bounds = self._dictionaries[name]
-        v_lo, v_hi = value_bounds[i], value_bounds[i + 1]
-        return (values[v_lo:v_hi],
-                codes[self._bounds[i]:self._bounds[i + 1]],
-                counts[v_lo:v_hi])
+        """``_unique`` of day ``i``'s ``name`` column: values, codes."""
+        values, codes, value_bounds = self._dictionaries[name]
+        return (values[value_bounds[i]:value_bounds[i + 1]],
+                codes[self._bounds[i]:self._bounds[i + 1]])
 
     def _sidecar(self, i: int, columns: dict) -> dict:
-        """Day ``i``'s sidecar fields besides the data file and indexes."""
+        """Day ``i``'s sidecar fields besides the data file."""
         byte_bins, flow_bins = self._hours
         return {
             "format": FORMAT_V3,
@@ -400,8 +374,6 @@ class RangeSeal:
     def _build(self, i: int, temp: Path) -> dict:
         writer = _PartWriter()
         columns_meta: Dict[str, Dict[str, object]] = {}
-        indexes: Dict[str, Dict[str, object]] = {}
-        rows = self.rows(i)
         day_rows = self._day_rows(i)
         for name in COLUMNS:
             column = self._flows.column(name)[day_rows]
@@ -413,23 +385,9 @@ class RangeSeal:
                 role: writer.add(part) for role, part in parts.items()
             }
             columns_meta[name] = meta
-            if (
-                enc_meta["encoding"] == encodings.DICT
-                and enc_meta["cardinality"] <= encodings.BITMAP_MAX_CARD
-                and rows
-            ):
-                bitmap = encodings.build_bitmap(
-                    parts["codes"], enc_meta["cardinality"]
-                )
-                indexes[name] = {
-                    "kind": "bitmap",
-                    "cardinality": enc_meta["cardinality"],
-                    "row_nbytes": encodings.bitmap_row_nbytes(rows),
-                    "part": writer.add(bitmap),
-                }
         writer.write(temp / DATA_FILE)
         sidecar = self._sidecar(i, columns_meta)
-        sidecar.update({"data_file": DATA_FILE, "indexes": indexes})
+        sidecar["data_file"] = DATA_FILE
         return sidecar
 
 
@@ -508,8 +466,7 @@ class ColumnBundle:
         if self._source is not None:
             day, directory, sidecar, columns, mmap = self._source
             return (
-                _rebuild_bundle,
-                (day, directory, _slim_sidecar(sidecar), columns, mmap),
+                _rebuild_bundle, (day, directory, sidecar, columns, mmap),
             )
         arrays = {
             name: np.ascontiguousarray(col)
@@ -580,28 +537,6 @@ class ColumnBundle:
         return ColumnBundle(selected, rows)
 
 
-def _slim_sidecar(sidecar: dict) -> dict:
-    """A sidecar copy without planner-only stats, for bundle shipping.
-
-    Dictionary value/count lists and bitmap-index metadata feed cost
-    estimation and the predicate-first scan; rebuilding a projected
-    bundle in a worker needs neither, and dropping them keeps the
-    pickle payload code-space-sized regardless of cardinality.
-    """
-    columns = {}
-    for name, meta in sidecar["columns"].items():
-        if "values" in meta or "counts" in meta:
-            meta = {
-                key: value for key, value in meta.items()
-                if key not in ("values", "counts")
-            }
-        columns[name] = meta
-    slim = dict(sidecar)
-    slim["columns"] = columns
-    slim.pop("indexes", None)
-    return slim
-
-
 def _rebuild_bundle(
     day: str, partition_dir: str, sidecar: dict,
     columns: Tuple[str, ...], mmap: bool,
@@ -638,9 +573,7 @@ class ColumnarPartition:
     data-file mmap is opened lazily per handle and never pickled.
     """
 
-    __slots__ = (
-        "day", "_dir", "_data_path", "_sidecar", "_data", "strategy_cache",
-    )
+    __slots__ = ("day", "_dir", "_data_path", "_sidecar", "_data")
 
     def __init__(self, day: str, partition_dir: Path, sidecar: dict):
         self.day = day
@@ -648,9 +581,6 @@ class ColumnarPartition:
         self._data_path = self._dir / str(sidecar.get("data_file", DATA_FILE))
         self._sidecar = sidecar
         self._data: Optional[np.ndarray] = None
-        #: scratch for the query planner: memoized bitmap-vs-scan
-        #: choices, valid as long as this handle (i.e. one manifest sha)
-        self.strategy_cache: Dict[object, Tuple[str, int]] = {}
 
     def __reduce__(self):
         return (ColumnarPartition, (self.day, str(self._dir), self._sidecar))
@@ -695,10 +625,6 @@ class ColumnarPartition:
             ).values()
         )
 
-    def index_meta(self, column: str) -> Optional[dict]:
-        """Bitmap-index metadata for one column, or None."""
-        return (self._sidecar.get("indexes") or {}).get(column)
-
     def encoding_stats(self) -> Dict[str, Dict[str, object]]:
         """Per-column seal decisions for ``store stats`` and benches.
 
@@ -714,9 +640,6 @@ class ColumnarPartition:
             }
             if meta.get("cardinality") is not None:
                 entry["cardinality"] = int(meta["cardinality"])
-            index = self.index_meta(name)
-            if index is not None:
-                entry["index_nbytes"] = int(index["part"]["nbytes"])
             stats[name] = entry
         return stats
 
@@ -877,196 +800,6 @@ class ColumnarPartition:
         if not mmap and encoding == encodings.RAW:
             array = np.array(array, copy=True)
         return array, nbytes
-
-    def _dict_values(
-        self, name: str, data: _DataFile
-    ) -> Tuple[np.ndarray, int]:
-        """A dict column's sorted value table (sidecar copy when small)."""
-        meta = self._sidecar["columns"][name]
-        stored = meta.get("values")
-        if stored is not None:
-            return np.asarray(stored, dtype=np.dtype(str(meta["dtype"]))), 0
-        parts, nbytes = self._column_parts(name, ("values",), data)
-        return parts["values"], nbytes
-
-    def load_filtered(
-        self, predicates: Sequence, columns: Sequence[str],
-        mmap: bool = True,
-    ) -> Tuple[ColumnBundle, int]:
-        """Predicate-first scan of the partition.
-
-        Evaluates each predicate in the cheapest space available —
-        bitmap-row OR/AND for indexed columns, dictionary-code compare
-        for dict columns, decoded values for everything else — and only
-        then gathers the surviving rows of the requested ``columns``.
-        Returns ``(bundle, bytes_read)`` where the bundle holds the
-        *filtered* rows (no further masking needed) and ``bytes_read``
-        counts encoded part bytes plus gathered row bytes.
-
-        ``predicates`` are :class:`repro.query.spec.Predicate`-shaped
-        objects (``column``, ``op`` ∈ {"in", "range"}, sorted
-        ``values``); ``columns`` must be physical column names.
-        """
-        rows = self.rows
-        data = self._data_file()
-        bytes_read = 0
-        decoded: Dict[str, np.ndarray] = {}
-        decoded_codes: Dict[str, np.ndarray] = {}
-        mask: Optional[np.ndarray] = None
-        deferred = []
-
-        def gather(name: str, idx: np.ndarray) -> np.ndarray:
-            nonlocal bytes_read
-            if name in DERIVED_KEYS:
-                proto = gather("proto", idx)
-                service = compute_service_port(
-                    proto, gather("src_port", idx), gather("dst_port", idx)
-                )
-                if name == "service_port":
-                    return service
-                return compute_transport(proto, service)
-            cached = decoded.get(name)
-            if cached is not None:
-                return cached[idx]
-            meta = self._sidecar["columns"][name]
-            encoding = str(meta.get("encoding", encodings.RAW))
-            if encoding == encodings.DICT:
-                if name in decoded_codes:
-                    codes = decoded_codes[name]
-                else:
-                    parts, nbytes = self._column_parts(
-                        name, ("codes",), data
-                    )
-                    codes = parts["codes"]
-                    decoded_codes[name] = codes
-                    bytes_read += nbytes
-                values, nbytes = self._dict_values(name, data)
-                bytes_read += nbytes
-                dtype = np.dtype(str(meta["dtype"]))
-                return values[codes[idx]].astype(dtype, copy=False)
-            if encoding == encodings.RAW:
-                parts, _ = self._column_parts(name, ("raw",), data)
-                bytes_read += int(idx.size) * parts["raw"].dtype.itemsize
-                return parts["raw"][idx]
-            # Delta (and unknown-degraded) columns decode whole.
-            array, nbytes = self._decode_column(name, data, mmap=True)
-            decoded[name] = array
-            bytes_read += nbytes
-            return array[idx]
-
-        for pred in predicates:
-            name = pred.column
-            meta = (
-                self._sidecar["columns"].get(name)
-                if name not in DERIVED_KEYS else None
-            )
-            if meta is None or meta.get("encoding") != encodings.DICT:
-                deferred.append(pred)
-                continue
-            values, nbytes = self._dict_values(name, data)
-            bytes_read += nbytes
-            # Compare in int64 space: out-of-range predicate values must
-            # come back "absent", not wrap into a column's narrow dtype.
-            values64 = values.astype(np.int64)
-            requested = np.asarray(pred.values, dtype=np.int64)
-            if pred.op == "in":
-                slots = np.searchsorted(values64, requested)
-                ok = slots < values64.size
-                ok &= values64[np.minimum(slots, values64.size - 1)] == requested
-                slots = slots[ok]
-                if slots.size == 0:
-                    mask = np.zeros(rows, dtype=bool)
-                    break
-                index = self.index_meta(name)
-                if index is not None:
-                    bitmap_part = self._part(
-                        index["part"], data,
-                        f"bitmap index on {name!r} of partition {self.day}",
-                        f"index/{name}",
-                    )
-                    bytes_read += int(index["part"]["nbytes"])
-                    bitmap = bitmap_part.reshape(
-                        int(index["cardinality"]), int(index["row_nbytes"])
-                    )
-                    pred_mask = encodings.bitmap_select(bitmap, slots, rows)
-                    obs.counter("colstore.bitmap-predicates").inc()
-                else:
-                    codes = decoded_codes.get(name)
-                    if codes is None:
-                        parts, nbytes = self._column_parts(
-                            name, ("codes",), data
-                        )
-                        codes = parts["codes"]
-                        decoded_codes[name] = codes
-                        bytes_read += nbytes
-                    if slots.size == 1:
-                        pred_mask = codes == codes.dtype.type(slots[0])
-                    else:
-                        pred_mask = np.isin(
-                            codes, slots.astype(codes.dtype)
-                        )
-            else:  # range
-                lo = np.searchsorted(values64, requested[0], side="left")
-                hi = np.searchsorted(values64, requested[-1], side="right")
-                if lo >= hi:
-                    mask = np.zeros(rows, dtype=bool)
-                    break
-                codes = decoded_codes.get(name)
-                if codes is None:
-                    parts, nbytes = self._column_parts(
-                        name, ("codes",), data
-                    )
-                    codes = parts["codes"]
-                    decoded_codes[name] = codes
-                    bytes_read += nbytes
-                pred_mask = (codes >= codes.dtype.type(lo)) & (
-                    codes < codes.dtype.type(hi)
-                )
-            mask = pred_mask if mask is None else mask & pred_mask
-            if not mask.any():
-                break
-
-        if mask is not None and not mask.any():
-            idx = np.zeros(0, dtype=np.intp)
-        elif mask is not None:
-            idx = np.flatnonzero(mask)
-        else:
-            idx = np.arange(rows, dtype=np.intp)
-
-        for pred in deferred:
-            if idx.size == 0:
-                break
-            values = gather(pred.column, idx)
-            requested = np.asarray(pred.values)
-            if pred.op == "range":
-                keep = (values >= requested[0]) & (values <= requested[-1])
-            elif requested.size == 1:
-                keep = values == requested[0]
-            else:
-                keep = np.isin(values, requested)
-            idx = idx[keep]
-
-        if idx.size == 0:
-            # Nothing survived the predicates — build empty columns
-            # straight from the sidecar dtypes (derived keys are
-            # int64), skipping every decode the gather would pay.
-            arrays = {
-                name: np.zeros(0, dtype=(
-                    np.int64 if name in DERIVED_KEYS
-                    else np.dtype(str(self._sidecar["columns"][name]["dtype"]))
-                ))
-                for name in columns
-            }
-        else:
-            arrays = {
-                name: np.ascontiguousarray(gather(name, idx))
-                for name in columns
-            }
-        obs.counter("colstore.loads").inc()
-        obs.counter("colstore.columns-loaded").inc(len(arrays))
-        obs.counter("colstore.bytes-mapped").inc(bytes_read)
-        obs.counter("colstore.bitmap-scans").inc()
-        return ColumnBundle(arrays, int(idx.size)), bytes_read
 
     def table(self) -> FlowTable:
         """The whole partition as a :class:`FlowTable` (all columns)."""

@@ -9,8 +9,7 @@ Encodings:
 
 - ``raw``   — the array's own bytes, C-contiguous.  Universal fallback.
 - ``dict``  — sorted unique values + small-dtype codes.  Chosen for
-  low-cardinality columns (proto, ports, ASNs); also powers bitmap indexes
-  and code-space predicate evaluation.
+  low-cardinality columns (proto, ports, ASNs).
 - ``delta`` — first value + bit-packed per-row deltas.  Chosen for
   near-sorted columns (hour) where deltas fit in a few bits per row.
 
@@ -31,12 +30,10 @@ ENCODINGS = (RAW, DICT, DELTA)
 
 # Above this many distinct values a dictionary stops paying for itself.
 DICT_MAX_CARD = 65536
-# Exact per-value counts are persisted in the sidecar only up to this
-# cardinality; beyond it the planner falls back to a uniform estimate.
-STATS_MAX_CARD = 1024
-# Bitmap indexes are built only for very low cardinality columns: each
-# distinct value costs rows/8 bytes of index.
-BITMAP_MAX_CARD = 16
+# Up to this many distinct values a dictionary that beats raw is sealed
+# even where delta would be smaller: a dict column decodes with one
+# gather, while delta pays an unpack plus a prefix sum on every scan.
+DICT_PREFERRED_MAX_CARD = 16
 
 # Keep delta spans comfortably inside int64 arithmetic.
 _DELTA_MAX_SPAN = 1 << 62
@@ -137,14 +134,15 @@ def segment_unique(
 
 def dict_encode(
     array: np.ndarray,
-    unique: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    unique: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]] | None:
     """Encode via sorted unique values + codes, or None when not worthwhile.
 
-    ``unique`` is ``_unique(array)`` when the caller already has it
-    (sealing takes it from :func:`segment_unique`).
+    ``unique`` is the ``(values, codes)`` of ``_unique(array)`` when the
+    caller already has them (sealing takes them from
+    :func:`segment_unique`).
     """
-    values, codes, counts = _unique(array) if unique is None else unique
+    values, codes = _unique(array)[:2] if unique is None else unique
     card = int(values.size)
     if card > DICT_MAX_CARD:
         return None
@@ -157,9 +155,6 @@ def dict_encode(
         "codes_dtype": cdtype.str,
         "values_dtype": values.dtype.str,
     }
-    if card <= STATS_MAX_CARD:
-        meta["values"] = values.tolist()
-        meta["counts"] = counts.tolist()
     return meta, {"codes": codes, "values": values}
 
 
@@ -239,55 +234,29 @@ def delta_decode(parts: Dict[str, np.ndarray], meta: Dict[str, Any],
 
 
 # ---------------------------------------------------------------------------
-# bitmap indexes
-
-
-def build_bitmap(codes: np.ndarray, cardinality: int) -> np.ndarray:
-    """Packed per-value bit rows: shape ``(cardinality, ceil(rows/8))``."""
-    rows = codes.size
-    onehot = codes[None, :] == np.arange(cardinality, dtype=codes.dtype)[:, None]
-    packed = np.packbits(onehot, axis=1)
-    if rows == 0:
-        packed = packed.reshape(cardinality, 0)
-    return np.ascontiguousarray(packed)
-
-
-def bitmap_row_nbytes(rows: int) -> int:
-    return (rows + 7) // 8
-
-
-def bitmap_select(bitmap: np.ndarray, value_slots: np.ndarray, rows: int) -> np.ndarray:
-    """OR the packed rows for ``value_slots`` and unpack to a bool mask."""
-    if value_slots.size == 0:
-        return np.zeros(rows, dtype=bool)
-    merged = bitmap[value_slots[0]]
-    for slot in value_slots[1:]:
-        merged = merged | bitmap[slot]
-    return np.unpackbits(merged, count=rows).view(bool)
-
-
-# ---------------------------------------------------------------------------
 # seal-time choice
 
 
 #: Delta must beat the best random-access encoding by this factor to be
-#: chosen.  Dict and raw columns can be gathered row-by-row after a
-#: predicate, but a delta column pays a whole-column unpack + prefix sum
-#: on *every* partial scan — only a large size win (near-sorted columns
-#: like ``hour``) covers that decode tax.
+#: chosen.  A dict column decodes with one gather and a raw column not
+#: at all, but a delta column pays a whole-column unpack + prefix sum on
+#: *every* scan — only a large size win (near-sorted columns like
+#: ``hour``) covers that decode tax.
 DELTA_WIN_FACTOR = 4
 
 def encode_column(
     array: np.ndarray,
-    unique: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    unique: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
     """Pick the cheapest-to-scan encoding for ``array``.
 
     Returns ``(meta, parts)`` where ``meta['encoding']`` names the winner and
     ``parts`` maps part-role names to contiguous arrays to be serialized.
-    Smallest wins among the random-access encodings (dict, raw); delta is
-    admitted only past :data:`DELTA_WIN_FACTOR`.  ``unique`` is passed
-    on to :func:`dict_encode`.
+    A dictionary of at most :data:`DICT_PREFERRED_MAX_CARD` values wins
+    whenever it beats raw.  Otherwise the smallest wins among the
+    random-access encodings (dict, raw); delta is admitted only past
+    :data:`DELTA_WIN_FACTOR`.  ``unique`` is passed on to
+    :func:`dict_encode`.
     """
     raw = np.ascontiguousarray(array)
     raw_nbytes = raw.nbytes
@@ -298,10 +267,8 @@ def encode_column(
     if encoded is not None:
         meta, parts = encoded
         size = sum(p.nbytes for p in parts.values())
-        # A bitmap-range dictionary wins outright when it beats raw at all:
-        # code-space predicates and bitmap indexes are worth more than the
-        # bytes another encoding might additionally shave off.
-        if meta["cardinality"] <= BITMAP_MAX_CARD and size < raw_nbytes:
+        if (meta["cardinality"] <= DICT_PREFERRED_MAX_CARD
+                and size < raw_nbytes):
             return meta, parts
         if size < raw_nbytes:
             best = (meta, parts)

@@ -7,10 +7,9 @@ queries load only the partitions they need.
 
 Every partition is one directory per day in the columnar v3 format
 (see :mod:`repro.flows.colstore`): a single ``segments.bin`` of
-per-column *encoded* parts (dictionary / delta+bit-pack / raw) plus
-bitmap indexes, described by a sidecar.  Scans decode only the columns
-a query references and can evaluate predicates on dictionary codes or
-bitmap rows before materializing any row data.
+per-column *encoded* parts (dictionary / delta+bit-pack / raw),
+described by a sidecar.  Scans decode only the columns a query
+references.
 
 Writes are append-only at day granularity; re-writing a day replaces
 its partition atomically (build under a temp name, then rename).
@@ -154,11 +153,10 @@ class FlowStore:
 
         Returns ``(columns, unreadable)``.  ``columns`` maps column name
         to summed raw vs. stored bytes, the set of encodings chosen
-        across partitions, the largest dictionary cardinality seen, and
-        total bitmap-index bytes.  ``unreadable`` maps each day whose
-        partition cannot be opened (corrupt or missing sidecar, an old
-        format) to its error; those days are not in the totals.  Backs
-        ``repro store stats``.
+        across partitions and the largest dictionary cardinality seen.
+        ``unreadable`` maps each day whose partition cannot be opened
+        (corrupt or missing sidecar, an old format) to its error; those
+        days are not in the totals.  Backs ``repro store stats``.
         """
         totals: Dict[str, Dict[str, object]] = {}
         unreadable: Dict[str, str] = {}
@@ -172,13 +170,11 @@ class FlowStore:
                 entry = totals.setdefault(name, {
                     "raw_nbytes": 0,
                     "stored_nbytes": 0,
-                    "index_nbytes": 0,
                     "encodings": set(),
                     "max_cardinality": None,
                 })
                 entry["raw_nbytes"] += int(stat["raw_nbytes"])
                 entry["stored_nbytes"] += int(stat["stored_nbytes"])
-                entry["index_nbytes"] += int(stat.get("index_nbytes", 0))
                 entry["encodings"].add(str(stat["encoding"]))
                 card = stat.get("cardinality")
                 if card is not None:

@@ -34,7 +34,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro import timebase
-from repro.flows import colstore, encodings
+from repro.flows import colstore
 from repro.flows.groupby import GroupIndex
 from repro.flows.hll import GroupedRegisters, relative_error
 from repro.flows.store import FlowStore, FlowStoreError
@@ -69,12 +69,12 @@ class QueryPlan:
     ``columns`` is the physical projection the scans will load,
     ``sidecar_days`` how many planned days will be answered from
     sidecar pre-aggregates without row I/O, and ``estimated_bytes`` the
-    predicted encoded part bytes behind the remaining scans.
-    ``day_strategies`` records, parallel to ``days``, the per-partition
-    scan strategy the cost model picked (``"sidecar"``, ``"bitmap"`` or
-    ``"scan"``), or ``"unreadable"`` for a day whose sidecar could not
-    be opened at plan time: it stays planned, with 0 estimated bytes,
-    so the scan reports it in ``partitions.failed``.
+    encoded part bytes behind the projected columns of the remaining
+    scans.  ``day_strategies`` records, parallel to ``days``, how each
+    partition will be answered: ``"sidecar"``, ``"scan"``, or
+    ``"unreadable"`` for a day whose sidecar could not be opened at
+    plan time: it stays planned, with 0 estimated bytes, so the scan
+    reports it in ``partitions.failed``.
     """
 
     spec: QuerySpec
@@ -96,7 +96,7 @@ class QueryPlan:
             self.pruned_by_hour + self.pruned_by_zone
 
     def strategy_counts(self) -> Dict[str, int]:
-        """How many planned days use each scan strategy."""
+        """How many planned days are answered each way."""
         counts: Dict[str, int] = {}
         for strategy in self.day_strategies:
             counts[strategy] = counts.get(strategy, 0) + 1
@@ -124,20 +124,12 @@ class QueryPlan:
 
 @dataclass(frozen=True)
 class ScanStats:
-    """Per-partition scan diagnostics.
-
-    ``mode`` names the I/O strategy taken: ``"mmap"`` (projected
-    memory-mapped scan), ``"bitmap"`` (predicate-first scan —
-    bitmap/dictionary-code filtering before any row materialization),
-    or ``"sidecar"`` (answered from pre-aggregates without touching
-    row data).
-    """
+    """Per-partition scan diagnostics."""
 
     rows_scanned: int
     rows_matched: int
     bytes_read: int
     columns: Tuple[str, ...]
-    mode: str
 
 
 @dataclass
@@ -319,118 +311,6 @@ def _zone_disjoint(partition: colstore.ColumnarPartition,
     return predicate.values[0] > hi or predicate.values[-1] < lo
 
 
-def _materialize_columns(spec: QuerySpec) -> Tuple[str, ...]:
-    """Physical columns a scan needs *after* the filter stage.
-
-    Group keys (derived expanded), the ``hour`` column for hour
-    bucketing, and aggregate inputs — but not pure-predicate columns,
-    which the predicate-first scan never materializes.
-    """
-    names = list(spec.group_by)
-    if spec.bucket == "hour":
-        names.append("hour")
-    for aggregate in spec.aggregates:
-        column = AGGREGATE_INPUT_COLUMNS[aggregate]
-        if column is not None:
-            names.append(column)
-    base = colstore.required_base_columns(names)
-    return tuple(name for name in COLUMNS if name in base)
-
-
-def _predicate_selectivity(predicate, meta: dict, rows: int) -> float:
-    """Estimated match fraction of one predicate on a dict column.
-
-    Exact when the sidecar carries per-value counts (cardinality up to
-    ``encodings.STATS_MAX_CARD``); otherwise assumes uniform spread
-    over the dictionary; 1.0 when nothing is known.
-    """
-    values = meta.get("values")
-    counts = meta.get("counts")
-    if values is not None and counts is not None and rows:
-        if predicate.op == "range":
-            lo, hi = predicate.values[0], predicate.values[-1]
-            matched = sum(
-                c for v, c in zip(values, counts) if lo <= v <= hi
-            )
-        else:
-            lookup = dict(zip(values, counts))
-            matched = sum(lookup.get(int(v), 0) for v in predicate.values)
-        return min(1.0, matched / rows)
-    cardinality = int(meta.get("cardinality") or 0)
-    if cardinality and predicate.op == "in":
-        return min(1.0, len(predicate.values) / cardinality)
-    return 1.0
-
-
-def _partition_strategy(
-    partition: colstore.ColumnarPartition, spec: QuerySpec
-) -> Tuple[str, int]:
-    """Pick bitmap-vs-scan for one partition, with estimated read bytes.
-
-    A pure function of ``(partition sidecar, spec)``: the planner, the
-    in-process scan, and every process-pool worker re-derive the same
-    choice independently, so no plan context needs shipping.
-
-    The predicate-first path pays for predicate structures up front
-    (bitmap rows or dictionary codes, plus a rows/8 mask) and then
-    reads only the estimated surviving fraction of the materialized
-    columns; the plain scan reads every projected column in full.  The
-    smaller estimate wins.
-
-    Being pure also makes the result cacheable: partition handles live
-    as long as their manifest sha, so the choice is memoized per spec
-    and the planner + scan pair cost one derivation, not two.
-    """
-    cache = partition.strategy_cache
-    cached = cache.get(spec)
-    if cached is not None:
-        return cached
-    choice = _derive_partition_strategy(partition, spec)
-    if len(cache) >= 128:
-        cache.clear()
-    cache[spec] = choice
-    return choice
-
-
-def _derive_partition_strategy(
-    partition: colstore.ColumnarPartition, spec: QuerySpec
-) -> Tuple[str, int]:
-    scan_bytes = partition.column_nbytes(spec.referenced_columns())
-    if not spec.where:
-        return "scan", scan_bytes
-    sidecar = partition.sidecar
-    rows = partition.rows
-    predicate_bytes = 0
-    selectivity = 1.0
-    resolvable = 0
-    for predicate in spec.where:
-        meta = (
-            sidecar["columns"].get(predicate.column)
-            if predicate.column in COLUMNS else None
-        )
-        if meta is None or meta.get("encoding") != encodings.DICT:
-            continue
-        resolvable += 1
-        index = (sidecar.get("indexes") or {}).get(predicate.column)
-        if index is not None and predicate.op == "in":
-            predicate_bytes += int(index["part"]["nbytes"])
-        else:
-            parts = meta.get("parts") or {}
-            codes = parts.get("codes")
-            if codes is not None:
-                predicate_bytes += int(codes["nbytes"])
-        selectivity *= _predicate_selectivity(predicate, meta, rows)
-    if not resolvable:
-        return "scan", scan_bytes
-    materialize_bytes = partition.column_nbytes(_materialize_columns(spec))
-    bitmap_bytes = int(
-        predicate_bytes + rows // 8 + selectivity * materialize_bytes
-    )
-    if bitmap_bytes < scan_bytes:
-        return "bitmap", bitmap_bytes
-    return "scan", scan_bytes
-
-
 def plan_query(store: FlowStore, spec: QuerySpec) -> QueryPlan:
     """Choose the partitions to scan, with data skipping.
 
@@ -500,9 +380,10 @@ def plan_query(store: FlowStore, spec: QuerySpec) -> QueryPlan:
             sidecar_days += 1
             day_strategies.append("sidecar")
         else:
-            strategy, day_bytes = _partition_strategy(partition, spec)
-            estimated_bytes += day_bytes
-            day_strategies.append(strategy)
+            estimated_bytes += partition.column_nbytes(
+                spec.referenced_columns()
+            )
+            day_strategies.append("scan")
     missing = tuple(
         day
         for day in timebase.iter_days(spec.start, spec.end)
@@ -618,7 +499,6 @@ def _scan_sidecar(
         rows_matched=rows_matched,
         bytes_read=0,
         columns=(),
-        mode="sidecar",
     )
     if rows_matched == 0:
         return Partial.empty(spec), stats
@@ -658,49 +538,28 @@ def scan_partition(
     one sketch per group.
 
     The partition is answered from sidecar pre-aggregates when
-    possible; otherwise the cost model (:func:`_partition_strategy`)
-    picks between the predicate-first scan — bitmap/dictionary-code
-    filtering, then gathering only the surviving rows — and a
-    memory-mapped projection of :meth:`QuerySpec.referenced_columns`
-    filtered through a row mask.  All strategies produce identical
-    partials.  A partition that cannot be opened or read raises
-    :class:`~repro.flows.store.FlowStoreError`.
+    possible; otherwise the columns :meth:`QuerySpec.referenced_columns`
+    names are memory-mapped and filtered through one row mask.  Both
+    ways produce identical partials.  A partition that cannot be opened
+    or read raises :class:`~repro.flows.store.FlowStoreError`.
     """
     partition = store.open_partition(day)
     if _sidecar_answerable(spec):
         return _scan_sidecar(partition, day, spec)
-    prefiltered = False
-    strategy, _ = _partition_strategy(partition, spec)
-    if strategy == "bitmap":
-        columns = _materialize_columns(spec)
-        table, bytes_read = partition.load_filtered(spec.where, columns)
-        mode = "bitmap"
-        prefiltered = True
-        obs.counter("query.bitmap-scans").inc()
-    else:
-        columns = spec.referenced_columns()
-        table, bytes_read = partition.load(columns)
-        mode = "mmap"
-    if prefiltered:
-        rows_scanned = partition.rows
-    else:
-        rows_scanned = len(table)
-        mask = _predicate_mask(table, spec) if spec.where else None
-        if mask is not None:
-            table = table.filter(mask)
+    columns = spec.referenced_columns()
+    table, bytes_read = partition.load(columns)
+    rows_scanned = len(table)
+    if spec.where:
+        table = table.filter(_predicate_mask(table, spec))
     rows_matched = len(table)
-
-    def _stats() -> ScanStats:
-        return ScanStats(
-            rows_scanned=rows_scanned,
-            rows_matched=rows_matched,
-            bytes_read=bytes_read,
-            columns=columns,
-            mode=mode,
-        )
-
+    stats = ScanStats(
+        rows_scanned=rows_scanned,
+        rows_matched=rows_matched,
+        bytes_read=bytes_read,
+        columns=columns,
+    )
     if rows_matched == 0:
-        return Partial.empty(spec), _stats()
+        return Partial.empty(spec), stats
     keys: List[str] = []
     if spec.bucket == "hour":
         keys.append("hour")
@@ -735,7 +594,7 @@ def scan_partition(
                 table.column(AGGREGATE_INPUT_COLUMNS[aggregate]),
                 layout.codes, p=spec.hll_p,
             )
-    return Partial(n_groups, tuple(key_columns), sums, registers), _stats()
+    return Partial(n_groups, tuple(key_columns), sums, registers), stats
 
 
 def _unique_keys(
@@ -892,10 +751,11 @@ def execute_plan(
     worker (a separate process when the platform allows), and only
     the compact merged partials cross back for the final fold.  Any
     other ``pool`` raises :class:`TypeError`.  ``deadline`` is a
-    ``time.monotonic()`` timestamp enforced between partitions (inline)
-    or shards (pooled) — on expiry pending scans are cancelled and
-    :class:`QueryTimeout` is raised.  ``cancel`` aborts the same way
-    with :class:`QueryCancelled`.
+    ``time.monotonic()`` timestamp checked by one cancel point, before
+    each partition (inline) or after each wait for shards (pooled) — on
+    expiry pending scans are cancelled and :class:`QueryTimeout` is
+    raised.  ``cancel`` aborts the same way with
+    :class:`QueryCancelled`.
 
     ``plan_s`` is the planning wall time measured by the caller (zero
     when the plan was built out of band); it flows into the result's
@@ -984,11 +844,6 @@ def execute_plan(
                     pending, timeout=remaining,
                     return_when=FIRST_COMPLETED,
                 )
-                if not done:
-                    raise QueryTimeout(
-                        f"query {spec.describe()} exceeded its deadline "
-                        f"after {scanned}/{len(plan.days)} partitions"
-                    )
                 for future in done:
                     shard = futures[future]
                     try:
@@ -1005,10 +860,9 @@ def execute_plan(
                             )
                     else:
                         _absorb_shard(outcome)
-                if cancel is not None and cancel.is_set():
-                    raise QueryCancelled(
-                        f"query {spec.describe()} cancelled"
-                    )
+                # A wait that timed out just short of the deadline
+                # passes this check and waits again.
+                _check_interrupts()
         finally:
             for future in pending:
                 future.cancel()

@@ -10,6 +10,11 @@ layouts older versions wrote are made here by hand:
   ``"format": 2``.
 
 Either takes the place of a day the store already lists.
+
+:func:`add_old_sidecar_keys` gives a v3 day the sidecar keys earlier
+v3 writers sealed and the reader no longer uses: an ``indexes`` block
+of bitmap indexes and per-value ``values``/``counts`` lists on
+dictionary columns.
 """
 
 from __future__ import annotations
@@ -94,6 +99,64 @@ def rewrite_sidecar(root: Path, day: dt.date,
         manifest[day.isoformat()]["sha256"] = file_sha256(path)
 
     _edit_manifest(root, _rechain)
+
+
+def add_old_sidecar_keys(root: Path, day: dt.date) -> None:
+    """Put the keys earlier v3 writers sealed back into ``day``'s sidecar.
+
+    Every dictionary column of at most 1024 values gets its sorted
+    ``values`` and their ``counts``; each of at most 16 values also gets
+    a bitmap index (one packed bit-row per value), appended as a
+    checksummed part to ``segments.bin``.  Reopen the store afterwards.
+    """
+    data_path = root / day.isoformat() / colstore.DATA_FILE
+    blob = bytearray(data_path.read_bytes())
+
+    def _mutate(sidecar: dict) -> None:
+        indexes = {}
+        for name, meta in sidecar["columns"].items():
+            if meta.get("encoding") != "dict" or meta["cardinality"] > 1024:
+                continue
+            codes = _part(blob, meta["parts"]["codes"])
+            values = _part(blob, meta["parts"]["values"])
+            meta["values"] = values.tolist()
+            meta["counts"] = np.bincount(
+                codes, minlength=values.size
+            ).tolist()
+            if values.size > 16 or not codes.size:
+                continue
+            bitmap = np.packbits(
+                codes[None, :] == np.arange(values.size)[:, None], axis=1
+            )
+            blob.extend(b"\x00" * (-len(blob) % 64))
+            offset = len(blob)
+            data = bitmap.tobytes()
+            blob.extend(data)
+            indexes[name] = {
+                "kind": "bitmap",
+                "cardinality": int(values.size),
+                "row_nbytes": int(bitmap.shape[1]),
+                "part": {
+                    "offset": offset,
+                    "nbytes": len(data),
+                    "sha256": hashlib.sha256(data).hexdigest(),
+                    "dtype": bitmap.dtype.str,
+                    "count": int(bitmap.size),
+                },
+            }
+        sidecar["indexes"] = indexes
+
+    rewrite_sidecar(root, day, _mutate)
+    data_path.write_bytes(bytes(blob))
+
+
+def _part(blob: bytearray, meta: dict) -> np.ndarray:
+    """One sealed part of ``segments.bin`` as an array."""
+    offset = int(meta["offset"])
+    return np.frombuffer(
+        bytes(blob[offset:offset + int(meta["nbytes"])]),
+        dtype=np.dtype(meta["dtype"]),
+    )
 
 
 def flip_byte(path: Path, offset: Optional[int] = None) -> None:

@@ -351,6 +351,14 @@ class TestZonePruning:
         # A narrower projection costs fewer encoded bytes.
         wide = plan_query(store, wide_spec)
         assert 0 < narrow.estimated_bytes < wide.estimated_bytes
+        # The estimate is what a scan of the projection reads, with or
+        # without predicates.
+        filtered_spec = _spec(where={"proto": 17},
+                              group_by=["service_port"],
+                              aggregates=["bytes"])
+        for spec in (narrow_spec, filtered_spec):
+            assert plan_query(store, spec).estimated_bytes == \
+                execute_query(store, spec).bytes_read
 
 
 class TestZoneBoundaries:
@@ -488,26 +496,21 @@ class TestReferenceParity:
             spec = _spec(**kwargs)
             strategies.update(plan_query(store, spec).day_strategies)
             assert_matches(execute_query(store, spec), week_flows, spec)
-        # Between them the specs plan every strategy.
-        assert strategies == {"sidecar", "scan", "bitmap"}
+        # Between them the specs plan both ways to answer a day.
+        assert strategies == {"sidecar", "scan"}
 
 
 class TestModeEquivalence:
     def test_full_load_escape_hatch_bit_identical(self, store, monkeypatch):
-        """Sidecar answers, projection and bitmap filtering give the
-        answer of loading every column of every partition and filtering
-        it row by row."""
+        """Sidecar answers and projected scans give the answer of
+        loading every column of every partition and filtering it row by
+        row."""
         for kwargs in PARITY_SPECS:
             spec = _spec(**kwargs)
             default = execute_query(store, spec).to_dict()
             with monkeypatch.context() as patch:
                 patch.setattr(engine, "_sidecar_answerable",
                               lambda spec: False)
-                patch.setattr(
-                    engine, "_partition_strategy",
-                    lambda partition, spec:
-                        ("scan", partition.column_nbytes(COLUMNS)),
-                )
                 patch.setattr(QuerySpec, "referenced_columns",
                               lambda self: COLUMNS)
                 forced = execute_query(store, spec).to_dict()

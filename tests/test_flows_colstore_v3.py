@@ -1,12 +1,12 @@
-"""Tests for the v3 columnar format and its predicate-first scan path.
+"""Tests for the v3 columnar format and its scan path.
 
-Covers per-column encodings chosen at seal time, bitmap indexes
-evaluated before row materialization, the cost-based bitmap-vs-scan
-planner, unknown-encoding degradation to the raw fallback, corruption
-drills on individual ``segments.bin`` parts, sidecars of another format,
-and process-pool scans over pickled handles.  Query answers are checked
-against a plain-numpy evaluation of the in-memory flow table
-(:mod:`tests.query_reference`).
+Covers per-column encodings chosen at seal time, the planner's
+per-partition sidecar/scan choice and byte estimates, sidecars that
+carry the keys earlier versions sealed, unknown-encoding degradation to
+the raw fallback, corruption drills on individual ``segments.bin``
+parts, sidecars of another format, and process-pool scans over pickled
+handles.  Query answers are checked against a plain-numpy evaluation
+of the in-memory flow table (:mod:`tests.query_reference`).
 """
 
 import datetime as dt
@@ -16,14 +16,18 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
-from repro import timebase
+from repro import cli, timebase
 from repro.flows import colstore, encodings
 from repro.flows.store import FORMAT_V3, FlowStore, FlowStoreError
 from repro.flows.table import COLUMNS
-from repro.query import QuerySpec, engine, execute_query, plan_query
+from repro.query import QuerySpec, execute_query, plan_query
 from repro.query.procpool import ScanPool
 from tests.query_reference import assert_matches
-from tests.store_drills import age_partition, rewrite_sidecar
+from tests.store_drills import (
+    add_old_sidecar_keys,
+    age_partition,
+    rewrite_sidecar,
+)
 
 START = dt.date(2020, 2, 19)
 END = dt.date(2020, 2, 25)
@@ -49,9 +53,9 @@ def _spec(**kwargs):
     return QuerySpec.build(**kwargs)
 
 
-#: Query shapes spanning every v3 strategy: sidecar pre-aggregates,
-#: plain projected scans, bitmap equality/membership, dict-range
-#: compares, derived keys, and predicates on unindexed columns.
+#: Query shapes spanning both ways to answer a partition (sidecar
+#: pre-aggregates and projected scans), with equality, membership and
+#: range predicates on dictionary, raw and derived-key columns.
 PARITY_SPECS = (
     dict(aggregates=["bytes", "flows"]),
     dict(aggregates=["bytes", "flows"], bucket="hour"),
@@ -109,10 +113,9 @@ class TestLayout:
         partition = v3_store.open_partition(START)
         stats = partition.encoding_stats()
         assert set(stats) == set(COLUMNS)
-        # Low-cardinality protocol numbers dictionary-encode and carry
-        # a bitmap index; the sorted hour column delta-packs.
+        # Low-cardinality protocol numbers dictionary-encode; the
+        # sorted hour column delta-packs.
         assert stats["proto"]["encoding"] == encodings.DICT
-        assert stats["proto"]["index_nbytes"] > 0
         assert stats["hour"]["encoding"] == encodings.DELTA
         for name, column in stats.items():
             assert 0 < column["stored_nbytes"] <= column["raw_nbytes"]
@@ -155,17 +158,6 @@ class TestLayout:
 
 
 class TestPlanner:
-    def test_filtered_query_plans_bitmap_strategy(self, v3_store):
-        plan = plan_query(
-            v3_store,
-            _spec(where={"proto": 17}, group_by=["service_port"],
-                  aggregates=["bytes"]),
-        )
-        counts = plan.strategy_counts()
-        assert counts.get("bitmap", 0) >= 1
-        assert sum(counts.values()) == len(plan.days)
-        assert plan.to_dict()["strategies"] == counts
-
     def test_unfiltered_query_plans_scan(self, v3_store):
         plan = plan_query(
             v3_store, _spec(group_by=["proto"], aggregates=["bytes"])
@@ -177,7 +169,9 @@ class TestPlanner:
         assert plan.strategy_counts() == {"sidecar": 7}
         assert plan.estimated_bytes == 0
 
-    def test_v2_partitions_never_plan_bitmap(self, v3_store, week_flows):
+    def test_old_format_partition_plans_unreadable(
+        self, v3_store, week_flows
+    ):
         # A partition left in format 2 is planned as unreadable, with
         # no estimated bytes, and the scan fails it.
         age_partition(v3_store.root, MID, _day_rows(week_flows, MID), 2)
@@ -186,7 +180,8 @@ class TestPlanner:
         plan = plan_query(aged, spec)
         strategies = dict(zip(plan.days, plan.day_strategies))
         assert strategies.pop(MID) == "unreadable"
-        assert set(strategies.values()) == {"bitmap"}
+        assert set(strategies.values()) == {"scan"}
+        assert plan.to_dict()["strategies"] == {"unreadable": 1, "scan": 6}
         alone = plan_query(aged, _spec(where={"proto": 17},
                                        aggregates=["bytes"],
                                        start=MID, end=MID))
@@ -195,23 +190,13 @@ class TestPlanner:
         result = execute_query(aged, spec)
         assert [f.day for f in result.partitions_failed] == [MID.isoformat()]
 
-    def test_bitmap_estimate_below_scan_estimate(self, v3_store):
-        filtered = _spec(where={"proto": 17},
-                         group_by=["service_port"],
-                         aggregates=["bytes"])
-        unfiltered = _spec(group_by=["service_port", "proto"],
-                           aggregates=["bytes"])
-        assert 0 < plan_query(v3_store, filtered).estimated_bytes < \
-            plan_query(v3_store, unfiltered).estimated_bytes
 
-
-class TestBitmapScan:
-    def test_filtered_scan_reads_fewer_bytes_than_v2(
+class TestFilteredScan:
+    def test_filtered_scan_reads_fewer_bytes_than_raw(
         self, v3_store, week_flows
     ):
-        # The same narrow filtered query touches fewer bytes on v3
-        # (encoded parts + gathered rows) than v2 read (the full raw
-        # segments of every projected column).
+        # A filtered query reads the encoded parts of its projected
+        # columns, fewer bytes than those columns hold raw.
         spec = _spec(where={"proto": 17}, group_by=["service_port"],
                      aggregates=["bytes"])
         v3 = execute_query(v3_store, spec)
@@ -221,50 +206,8 @@ class TestBitmapScan:
             for name in spec.referenced_columns()
         )
         assert_matches(v3, week_flows, spec)
+        assert set(v3.columns_loaded) == set(spec.referenced_columns())
         assert 0 < v3.bytes_read < raw_bytes
-
-    def test_bitmap_counters_fire(self, v3_store):
-        obs.configure(telemetry=True)
-        try:
-            execute_query(
-                v3_store,
-                _spec(where={"proto": 17}, aggregates=["bytes"]),
-            )
-            counters = obs.get_registry().snapshot()["counters"]
-        finally:
-            obs.reset()
-        assert counters.get("query.bitmap-scans", 0) >= 1
-        assert counters.get("colstore.bitmap-predicates", 0) >= 1
-
-    def test_absent_value_short_circuits(self, v3_store):
-        partition = v3_store.open_partition(START)
-        # 255 is never generated as a protocol; the dict lookup proves
-        # absence without touching codes or bitmap rows.
-        spec = _spec(where={"proto": 255}, aggregates=["bytes"])
-        bundle, bytes_read = partition.load_filtered(
-            spec.where, ("n_bytes",)
-        )
-        assert len(bundle) == 0
-        assert bytes_read == 0
-        result = execute_query(v3_store, spec)
-        assert result.rows == []
-        assert result.rows_matched == 0
-
-    def test_load_filtered_matches_mask_scan(self, v3_store):
-        partition = v3_store.open_partition(START)
-        table = v3_store.read_day(START)
-        spec = _spec(where={"proto": [6, 17],
-                            "dst_port": {"min": 0, "max": 2048}},
-                     aggregates=["bytes"])
-        bundle, _ = partition.load_filtered(
-            spec.where, ("n_bytes", "proto")
-        )
-        mask = np.isin(table.column("proto"), [6, 17])
-        mask &= table.column("dst_port") <= 2048
-        assert len(bundle) == int(mask.sum())
-        assert np.array_equal(
-            bundle.column("n_bytes"), table.column("n_bytes")[mask]
-        )
 
     def test_derived_key_predicate_parity(self, v3_store, week_flows):
         spec = _spec(where={"transport": 2},
@@ -292,8 +235,49 @@ class TestReferenceParity:
             spec = _spec(**kwargs)
             strategies.update(plan_query(v3_store, spec).day_strategies)
             assert_matches(execute_query(v3_store, spec), week_flows, spec)
-        # Between them the specs plan every strategy.
-        assert strategies == {"sidecar", "scan", "bitmap"}
+        # Between them the specs plan both ways to answer a day.
+        assert strategies == {"sidecar", "scan"}
+
+
+class TestOldSidecarKeys:
+    """A day whose sidecar still carries the keys earlier v3 writers
+    sealed (an ``indexes`` block, per-value ``values``/``counts``)."""
+
+    @pytest.fixture
+    def old_keys_store(self, tmp_path, week_flows):
+        store = FlowStore(tmp_path / "old-keys")
+        store.write_range(week_flows, START, END)
+        add_old_sidecar_keys(store.root, MID)
+        store = FlowStore(store.root)
+        sidecar = store.open_partition(MID).sidecar
+        assert sidecar["indexes"]
+        assert "counts" in sidecar["columns"]["proto"]
+        return store
+
+    def test_parity_specs_answer_as_untouched(self, old_keys_store,
+                                              v3_store):
+        for kwargs in PARITY_SPECS:
+            spec = _spec(**kwargs)
+            old = execute_query(old_keys_store, spec).to_dict()
+            untouched = execute_query(v3_store, spec).to_dict()
+            for payload in (old, untouched):
+                for volatile in ("wall_s", "stages"):
+                    payload.pop(volatile)
+            assert old == untouched
+
+    def test_store_stats_reads_the_day(self, old_keys_store, v3_store,
+                                       capsys):
+        payloads = []
+        for store in (old_keys_store, v3_store):
+            capsys.readouterr()
+            assert cli.main(
+                ["store", "stats", str(store.root), "--json"]
+            ) == 0
+            payload = json.loads(capsys.readouterr().out)
+            payload.pop("store")
+            payloads.append(payload)
+        assert payloads[0]["unreadable"] == {}
+        assert payloads[0] == payloads[1]
 
 
 class TestMigration:
@@ -324,33 +308,6 @@ class TestMigration:
             assert mixed.rows_scanned == pure.rows_scanned
 
 
-class TestModeEquivalence:
-    def test_v3_escape_hatch_bit_identical(self, v3_store, monkeypatch):
-        """Predicate-first bitmap scans give the plain projected scan's
-        answer."""
-        bitmap_used = False
-        for kwargs in PARITY_SPECS:
-            spec = _spec(**kwargs)
-            plan = plan_query(v3_store, spec)
-            bitmap_used |= "bitmap" in plan.day_strategies
-            default = execute_query(v3_store, spec).to_dict()
-            with monkeypatch.context() as patch:
-                patch.setattr(
-                    engine, "_partition_strategy",
-                    lambda partition, spec: ("scan", partition.column_nbytes(
-                        spec.referenced_columns())),
-                )
-                assert "bitmap" not in \
-                    plan_query(v3_store, spec).day_strategies
-                forced = execute_query(v3_store, spec).to_dict()
-            for payload in (forced, default):
-                for volatile in ("wall_s", "bytes_read", "columns_loaded",
-                                 "stages", "plan"):
-                    payload.pop(volatile)
-            assert forced == default
-        assert bitmap_used
-
-
 class TestIntegrity:
     def _flip_part(self, store, day, part_meta):
         day_dir = store.root / day.isoformat()
@@ -368,19 +325,6 @@ class TestIntegrity:
             FlowStoreError, match="column 'n_bytes'.*corrupt"
         ):
             v3_store.read_day(MID)
-
-    def test_corrupt_bitmap_index_names_index(self, v3_store):
-        partition = v3_store.open_partition(MID)
-        index = partition.index_meta("proto")
-        assert index is not None
-        self._flip_part(v3_store, MID, index["part"])
-        spec = _spec(where={"proto": 17}, aggregates=["bytes"])
-        with pytest.raises(
-            FlowStoreError, match="bitmap index on 'proto'.*corrupt"
-        ):
-            v3_store.open_partition(MID).load_filtered(
-                spec.where, ("n_bytes",)
-            )
 
     def test_projected_query_skips_unread_corruption(self, v3_store):
         sidecar = v3_store.open_partition(MID).sidecar
@@ -475,8 +419,8 @@ class TestProcessPool:
         partition.load(("proto",))  # force the lazy mmap open
         payload = pickle.dumps(partition)
         day_dir = v3_store.root / START.isoformat()
-        # The handle ships the sidecar (workers need values/counts for
-        # predicate resolution) but never the mmap'd row data.
+        # The handle ships the sidecar (part offsets, checksums, zones)
+        # but never the mmap'd row data.
         sidecar_bytes = (day_dir / colstore.SIDECAR).stat().st_size
         data_bytes = (day_dir / colstore.DATA_FILE).stat().st_size
         assert len(payload) < sidecar_bytes + 4096

@@ -1,4 +1,4 @@
-"""Tests for the v3 column encodings (dict, delta+bit-pack, bitmaps)."""
+"""Tests for the v3 column encodings (dict, delta+bit-pack, raw)."""
 
 import numpy as np
 import pytest
@@ -49,16 +49,9 @@ class TestDictEncoding:
         assert meta["encoding"] == enc.DICT
         assert meta["cardinality"] == 4
         assert parts["codes"].dtype == np.uint8
-        # Per-value counts are exact and complete.
-        assert sum(meta["counts"]) == 1000
-        assert meta["values"] == [6, 17, 47, 50]
-
-    def test_counts_omitted_above_stats_cap(self):
-        values = np.arange(enc.STATS_MAX_CARD + 10, dtype=np.int64)
-        encoded = enc.dict_encode(np.repeat(values, 3))
-        assert encoded is not None
-        meta, _ = encoded
-        assert "values" not in meta and "counts" not in meta
+        # The value table lives in its part; the metadata stays small.
+        assert set(meta) == {"encoding", "cardinality", "codes_dtype",
+                             "values_dtype"}
 
     def test_cardinality_cap_rejects(self):
         big = np.arange(enc.DICT_MAX_CARD + 1, dtype=np.int64)
@@ -76,10 +69,7 @@ class TestDictEncoding:
 
 def _numpy_dict_parts(array):
     """Dictionary parts straight from ``np.unique`` (the reference)."""
-    values, codes, counts = np.unique(
-        array, return_inverse=True, return_counts=True
-    )
-    return values, codes, counts
+    return np.unique(array, return_inverse=True)
 
 
 # Spans below, at and above the row count, signed and unsigned, near
@@ -101,14 +91,12 @@ DICT_CASES = [
 class TestDictMatchesUnique:
     @pytest.mark.parametrize("array", DICT_CASES)
     def test_parts_and_stats_match_np_unique(self, array):
-        values, codes, counts = _numpy_dict_parts(array)
+        values, codes = _numpy_dict_parts(array)
         meta, parts = enc.dict_encode(array)
         assert parts["values"].dtype == array.dtype
         assert np.array_equal(parts["values"], values)
         assert np.array_equal(parts["codes"], codes)
         assert meta["cardinality"] == values.size
-        assert meta["values"] == [int(v) for v in values]
-        assert meta["counts"] == [int(c) for c in counts]
 
 
 class TestSegmentUnique:
@@ -189,37 +177,10 @@ class TestDeltaEncoding:
         assert enc.delta_encode(empty, max_nbytes=0) is not None
 
 
-class TestBitmaps:
-    def test_select_matches_equality(self):
-        rng = np.random.default_rng(11)
-        codes = rng.integers(0, 4, size=1000).astype(np.uint8)
-        bitmap = enc.build_bitmap(codes, 4)
-        assert bitmap.shape == (4, enc.bitmap_row_nbytes(1000))
-        for value in range(4):
-            mask = enc.bitmap_select(bitmap, np.array([value]), 1000)
-            assert np.array_equal(mask, codes == value)
-
-    def test_select_ors_multiple_values(self):
-        codes = np.array([0, 1, 2, 3, 1, 2], dtype=np.uint8)
-        bitmap = enc.build_bitmap(codes, 4)
-        mask = enc.bitmap_select(bitmap, np.array([1, 3]), codes.size)
-        assert np.array_equal(mask, (codes == 1) | (codes == 3))
-
-    def test_empty_slots_and_empty_rows(self):
-        codes = np.array([0, 1], dtype=np.uint8)
-        bitmap = enc.build_bitmap(codes, 2)
-        assert not enc.bitmap_select(
-            bitmap, np.zeros(0, dtype=np.int64), 2
-        ).any()
-        assert enc.build_bitmap(
-            np.zeros(0, dtype=np.uint8), 4
-        ).shape == (4, 0)
-
-
 class TestSealChoice:
     def test_low_card_column_prefers_dict(self):
-        # Delta would be a few bytes smaller, but a bitmap-range dict
-        # unlocks code-space predicates — it must win anyway.
+        # Delta would be a few bytes smaller, but a small dict decodes
+        # with one gather — it must win anyway.
         rng = np.random.default_rng(7)
         proto = rng.choice(
             np.array([6, 17, 47, 50], dtype=np.int16), size=1000
@@ -237,8 +198,8 @@ class TestSealChoice:
     def test_sorted_column_prefers_delta(self):
         hours = np.repeat(np.arange(24, dtype=np.int64), 100)
         meta, _ = enc.encode_column(hours)
-        # card 24 > BITMAP_MAX_CARD would not apply; 24 > 16 so the
-        # outright-dict rule is off and the 1-bit delta wins on size.
+        # card 24 > DICT_PREFERRED_MAX_CARD, so the outright-dict rule
+        # is off and the 1-bit delta wins on size.
         assert meta["encoding"] == enc.DELTA
 
     @pytest.mark.parametrize("seed", range(6))
@@ -254,7 +215,7 @@ class TestSealChoice:
         meta, parts = enc.dict_encode(array)
         size = sum(p.nbytes for p in parts.values())
         if size < raw_nbytes:
-            if meta["cardinality"] <= enc.BITMAP_MAX_CARD:
+            if meta["cardinality"] <= enc.DICT_PREFERRED_MAX_CARD:
                 expected = (meta, parts)
             access = size
         if expected is None:
