@@ -1,4 +1,4 @@
-"""Flow export formats: NetFlow v5, IPFIX, sampling, anonymization.
+"""Flow export formats: NetFlow v5, IPFIX, anonymization.
 
 Shows the operational side of the substrate — the same byte formats
 and data-reduction steps a real vantage point applies before analysis:
@@ -6,10 +6,7 @@ and data-reduction steps a real vantage point applies before analysis:
 1. generate a day of ISP flows,
 2. anonymize addresses with a keyed hash (the paper's ethics setup),
 3. export as NetFlow v5 packets and as IPFIX messages, then collect
-   them back and verify what survives each format,
-4. emulate 1-in-100 packet sampling and show which quantities the
-   standard inversion recovers (byte totals) and which stay biased
-   (flow counts).
+   them back and verify what survives each format.
 
 Run:  python examples/netflow_export.py
 """
@@ -17,7 +14,7 @@ Run:  python examples/netflow_export.py
 import datetime as dt
 
 from repro import build_scenario
-from repro.flows import anonymize, ipfix, netflow5, sampling
+from repro.flows import anonymize, ipfix, netflow5
 
 
 def main() -> None:
@@ -43,21 +40,7 @@ def main() -> None:
     messages = ipfix.encode_messages(anonymized)
     back_ipfix = ipfix.decode_messages(messages)
     print(f"IPFIX export: {len(messages)} messages; lossless round trip: "
-          f"{back_ipfix == anonymized}\n")
-
-    rate = 100
-    sampled = sampling.packet_sample(anonymized, rate, seed=1)
-    estimated = sampling.scale_up(sampled, rate)
-    print(f"1-in-{rate} packet sampling:")
-    print(f"  flows exported: {len(sampled)} / {len(anonymized)} "
-          f"({sampling.effective_flow_fraction(anonymized, sampled):.0%}; "
-          f"analytic "
-          f"{sampling.expected_survival_probability(anonymized, rate):.0%})")
-    print(f"  byte total after x{rate} inversion: "
-          f"{estimated.total_bytes() / anonymized.total_bytes():.1%} "
-          "of the truth (unbiased)")
-    print("  -> byte-volume analyses survive sampling; distinct-IP and")
-    print("     connection counts (Figs 8, 12) need unsampled exports.")
+          f"{back_ipfix == anonymized}")
 
 
 if __name__ == "__main__":

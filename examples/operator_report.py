@@ -7,8 +7,7 @@ operations team could have produced during the lockdown:
 * peak-vs-valley decomposition (is the peak, the planning quantity,
   actually moving?),
 * members whose ports are running hot and the upgrades already landed,
-* anomalous days flagged on the platform aggregate,
-* what each provisioning policy would have cost.
+* anomalous days flagged on the platform aggregate.
 
 Run:  python examples/operator_report.py
 """
@@ -16,7 +15,7 @@ Run:  python examples/operator_report.py
 import datetime as dt
 
 from repro import build_scenario, timebase
-from repro.core import aggregate, anomaly, peaks, provisioning
+from repro.core import aggregate, anomaly, peaks
 from repro.synth import linkutil as linkutil_synth
 
 
@@ -77,16 +76,6 @@ def main() -> None:
     for item in flagged[:5]:
         print(f"  {item.day} {item.kind:5s} "
               f"{item.relative_deviation:+.0%} vs. prior week")
-
-    # Provisioning retrospective.
-    weekly = aggregate.weekly_normalized(series)
-    demand = [v * 0.65 for v in weekly.values]
-    outcomes = provisioning.compare_policies(demand, 1.0)
-    print("\nProvisioning retrospective (platform at 65% pre-pandemic):")
-    for name, outcome in outcomes.items():
-        print(f"  {name:10s} congested weeks {outcome.weeks_congested:2d}, "
-              f"{len(outcome.upgrades)} upgrades, "
-              f"capacity added {outcome.total_added:.2f}x")
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 The hermetic environment has setuptools but not `wheel`, so PEP 660
 editable installs (`pip install -e .` via pyproject build backends)
 fail with `invalid command 'bdist_wheel'`.  This shim lets pip use the
-legacy `setup.py develop` path.  Project metadata lives in
-pyproject.toml.
+legacy `setup.py develop` path.  Project metadata lives here, and
+pytest's configuration in pytest.ini.
 """
 
 from setuptools import find_packages, setup

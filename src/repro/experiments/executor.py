@@ -1,7 +1,7 @@
 """Running registered experiments: :func:`run_all` and :func:`run_experiment`.
 
 :func:`run_all` is the one way experiments run, whatever the caller
-(``repro run``, ``repro report``, the scenario grid, the benchmarks).
+(``repro run``, ``repro report``, the scenario grid, ``perfbench``).
 It takes specs and returns
 :class:`~repro.experiments.base.ExperimentResult` objects in paper
 order:

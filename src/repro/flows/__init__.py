@@ -15,7 +15,6 @@ payload — which this subpackage models:
   paper's ethics requirements (§2.1),
 * :mod:`repro.flows.netflow5` / :mod:`repro.flows.ipfix` — the binary
   export formats the vantage points actually speak,
-* :mod:`repro.flows.sampling` — sampled-NetFlow emulation + inversion,
 * :mod:`repro.flows.hll` — HyperLogLog sketches for distinct counting.
 """
 

@@ -33,7 +33,7 @@ import os
 import shutil
 import threading
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -357,21 +357,6 @@ class FlowStore:
             elif require_complete:
                 raise KeyError(f"missing partition for {day}")
         return FlowTable.concat(tables)
-
-    def read_week(self, week: timebase.Week,
-                  require_complete: bool = True) -> FlowTable:
-        """Load one named analysis week."""
-        return self.read_range(week.start, week.end, require_complete)
-
-    def iter_days(self) -> Iterator[tuple]:
-        """Yield (day, flows) over all partitions in date order.
-
-        Streams one partition at a time — pair with
-        :class:`repro.core.streaming.StreamingAggregator` for traces
-        larger than memory.
-        """
-        for day in self.days():
-            yield day, self.read_day(day)
 
 
 # -- per-process open cache ---------------------------------------------------

@@ -4,8 +4,8 @@ The package keeps one process-global :class:`~repro.obs.metrics.MetricsRegistry`
 and one :class:`~repro.obs.trace.Tracer`.  Both default to no-op
 implementations, so the instrumentation woven through the hot paths
 (:mod:`repro.experiments`, :mod:`repro.synth.flowgen`,
-:mod:`repro.flows.table`, :mod:`repro.core.streaming`) is effectively
-free until someone opts in::
+:mod:`repro.flows.table`, :mod:`repro.query`) is effectively free
+until someone opts in::
 
     from repro import obs
 

@@ -13,7 +13,7 @@ Writes one directory per pipeline run:
                               exposes them (one column per curve)
 
 These artifacts are what a downstream user plots with their own
-tooling; the benchmark harness asserts the shapes, this module
+tooling; the experiments' checks assert the shapes, this module
 persists the numbers.
 """
 

@@ -2,7 +2,7 @@
 
 Unicode sparklines and value tables stand in for the plots; the actual
 reproduced *data* lives in the :mod:`repro.core` result objects, and
-the benchmarks print both.
+``repro run --verbose`` prints both.
 """
 
 from __future__ import annotations

@@ -532,25 +532,13 @@ class DatasetCache:
             self.stats.resident_bytes = 0
 
 
-#: The process-default cache used when none is explicitly active.
-_DEFAULT_CACHE = DatasetCache()
-_ACTIVE_CACHE: DatasetCache = _DEFAULT_CACHE
-
-
-def default_cache() -> DatasetCache:
-    """The process-default shared cache."""
-    return _DEFAULT_CACHE
+#: The cache fetches go through; :func:`use_cache` swaps it temporarily.
+_ACTIVE_CACHE = DatasetCache()
 
 
 def get_cache() -> DatasetCache:
     """The currently active cache (default unless overridden)."""
     return _ACTIVE_CACHE
-
-
-def set_cache(cache: DatasetCache) -> None:
-    """Install ``cache`` as the active cache for subsequent fetches."""
-    global _ACTIVE_CACHE
-    _ACTIVE_CACHE = cache
 
 
 @contextmanager

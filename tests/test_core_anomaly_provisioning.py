@@ -1,12 +1,11 @@
-"""Unit tests for anomaly detection and provisioning simulation."""
+"""Unit tests for anomaly detection."""
 
 import datetime as dt
 
 import numpy as np
 import pytest
 
-from repro import timebase
-from repro.core import anomaly, appclass, provisioning
+from repro.core import anomaly, appclass
 
 
 def daily_series(values, start=dt.date(2020, 2, 1)):
@@ -85,74 +84,6 @@ class TestDetectAnomalies:
         # The planted provider outage: March 16-17.
         assert dt.date(2020, 3, 16) in drops
         assert dt.date(2020, 3, 17) in drops
-
-
-class TestProvisioning:
-    @pytest.fixture(scope="class")
-    def pandemic_demand(self, scenario):
-        series = scenario.ixp_ce.hourly_traffic(
-            timebase.STUDY_START, timebase.STUDY_END
-        )
-        from repro.core import aggregate
-
-        weekly = aggregate.weekly_normalized(series)
-        # Scale so the pre-pandemic level sits at 65% of capacity 1.0.
-        return [v * 0.65 for v in weekly.values]
-
-    def test_scheduled_policy_congests(self, pandemic_demand):
-        outcome = provisioning.simulate_scheduled(
-            pandemic_demand, initial_capacity=1.0
-        )
-        # The annual plan cannot absorb the compressed demand shift.
-        assert outcome.weeks_congested >= 3
-
-    def test_reactive_policy_recovers(self, pandemic_demand):
-        outcome = provisioning.simulate_reactive(
-            pandemic_demand, initial_capacity=1.0, lead_time_weeks=1
-        )
-        scheduled = provisioning.simulate_scheduled(
-            pandemic_demand, initial_capacity=1.0
-        )
-        assert outcome.weeks_congested < scheduled.weeks_congested
-        assert outcome.upgrades
-
-    def test_headroom_policy_ends_uncongested(self, pandemic_demand):
-        outcome = provisioning.simulate_reactive(
-            pandemic_demand, initial_capacity=1.0, lead_time_weeks=1,
-            target=0.6,
-        )
-        assert outcome.utilization[-1] <= 0.8
-
-    def test_lead_time_increases_congestion(self, pandemic_demand):
-        fast = provisioning.simulate_reactive(
-            pandemic_demand, 1.0, lead_time_weeks=0
-        )
-        slow = provisioning.simulate_reactive(
-            pandemic_demand, 1.0, lead_time_weeks=5
-        )
-        assert slow.weeks_congested >= fast.weeks_congested
-
-    def test_compare_policies_keys(self, pandemic_demand):
-        outcomes = provisioning.compare_policies(pandemic_demand, 1.0)
-        assert set(outcomes) == {"scheduled", "reactive", "headroom"}
-
-    def test_capacity_never_decreases(self, pandemic_demand):
-        outcome = provisioning.simulate_reactive(pandemic_demand, 1.0)
-        assert np.all(np.diff(outcome.capacity) >= 0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            provisioning.simulate_reactive([1.0], 1.0)
-        with pytest.raises(ValueError):
-            provisioning.simulate_reactive([1.0, 2.0], 0.0)
-        with pytest.raises(ValueError):
-            provisioning.simulate_reactive([1.0, 2.0], 1.0, threshold=2.0)
-        with pytest.raises(ValueError):
-            provisioning.simulate_reactive(
-                [1.0, 2.0], 1.0, lead_time_weeks=-1
-            )
-        with pytest.raises(ValueError):
-            provisioning.simulate_reactive([1.0, 2.0], 1.0, target=0.9)
 
 
 class TestWeekOverWeek:

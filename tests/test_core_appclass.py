@@ -201,6 +201,46 @@ class TestHeatmaps:
             )
 
 
+class TestMorningHourRemoval:
+    """§5 drops the 2-7am hours before normalizing: the nightly minimum
+    barely moves in the lockdown and would compress the heatmaps."""
+
+    @pytest.fixture(scope="class")
+    def webconf(self, scenario, fast_config):
+        weeks = timebase.APPCLASS_WEEKS_IXP
+        flows = FlowTable.concat(
+            [
+                scenario.ixp_ce.generate_week_flows(
+                    week, fast_config.flow_fidelity
+                )
+                for week in weeks.values()
+            ]
+        )
+        classes = {"webconf": appclass.standard_classes()["webconf"]}
+        return appclass.class_volumes(flows, weeks.values(), classes)[
+            "webconf"
+        ]
+
+    @staticmethod
+    def _contrast(volume, hours):
+        """Mean |stage-2 - base| in points of the joint min/max scale."""
+        raw = {
+            label: volume.week(week).astype(float).reshape(7, 24)[:, hours]
+            for label, week in timebase.APPCLASS_WEEKS_IXP.items()
+        }
+        lo = min(v.min() for v in raw.values())
+        hi = max(v.max() for v in raw.values())
+        diff = (raw["stage2"] - raw["base"]) / ((hi - lo) or 1.0)
+        return float(np.abs(diff * 100.0).mean())
+
+    def test_removal_does_not_lose_contrast(self, webconf):
+        h0, h1 = appclass.MORNING_HOURS_REMOVED
+        kept = [h for h in range(24) if not h0 <= h < h1]
+        assert self._contrast(webconf, kept) >= self._contrast(
+            webconf, list(range(24))
+        )
+
+
 class TestGrowthHelpers:
     def test_weekly_growth_requires_base_traffic(self):
         weeks = timebase.APPCLASS_WEEKS_IXP

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro import timebase
 from repro.core import hypergiants
 from repro.flows.table import FlowTable
-from repro.netbase.asdb import HYPERGIANT_ASNS
+from repro.netbase.asdb import HYPERGIANT_ASNS, HYPERGIANTS
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +34,28 @@ class TestShare:
         assert hypergiants.hypergiant_share(
             survey_flows, frozenset({99999})
         ) == 0.0
+
+
+class TestHypergiantSetSize:
+    """§3.2: a handful of hypergiants carries most hypergiant bytes."""
+
+    @pytest.fixture(scope="class")
+    def shares(self, isp_base_week_flows):
+        ranked = sorted(HYPERGIANTS, key=lambda info: -info.weight)
+        return {
+            top_n: hypergiants.hypergiant_share(
+                isp_base_week_flows,
+                frozenset(info.asn for info in ranked[:top_n]),
+            )
+            for top_n in (5, 10, 15)
+        }
+
+    def test_share_grows_with_set_size(self, shares):
+        assert shares[5] < shares[10] <= shares[15]
+
+    def test_share_saturates(self, shares):
+        # The second five add at least as much as the last five.
+        assert shares[10] - shares[5] >= shares[15] - shares[10]
 
 
 class TestGroupGrowth:

@@ -1,5 +1,7 @@
 """Unit tests for the link-utilization ECDF analysis."""
 
+import datetime as dt
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core.linkutil import (
     reduce_day,
     right_shift_fraction,
 )
+from repro.synth import linkutil as linkutil_synth
 
 
 class TestECDF:
@@ -141,3 +144,43 @@ class TestPeakUnderstatement:
     def test_requires_positive_utilization(self):
         with pytest.raises(ValueError):
             linkutil_mod.peak_understatement({1: np.zeros(1440)}, 60)
+
+
+class TestMeasurementGranularity:
+    """§3.3 measures per minute: coarser windows understate the maxima
+    that trigger upgrades, but Fig 5's right shift survives them."""
+
+    WINDOWS = (1, 5, 15, 60)
+
+    @pytest.fixture(scope="class")
+    def days(self, scenario):
+        members = scenario.members["ixp-ce"]
+        base = linkutil_synth.member_day_utilization(
+            members, dt.date(2020, 2, 19), 1.0, seed=scenario.seed + 51
+        )
+        stage = linkutil_synth.member_day_utilization(
+            members, dt.date(2020, 4, 22), 1.3, seed=scenario.seed + 51,
+            shape_name="lockdown-workday",
+        )
+        return base, stage
+
+    def test_averaging_hides_peaks_monotonically(self, days):
+        _, stage = days
+        shown = [
+            linkutil_mod.peak_understatement(stage, window)
+            for window in self.WINDOWS
+        ]
+        assert shown[0] == 1.0
+        assert shown == sorted(shown, reverse=True)
+        assert shown[-1] < 0.999
+
+    def test_right_shift_survives_coarse_windows(self, days):
+        for window in self.WINDOWS:
+            base_max, stage_max = (
+                ECDF.from_values([
+                    float(linkutil_mod.downsample_utilization(s, window).max())
+                    for s in day.values()
+                ])
+                for day in days
+            )
+            assert right_shift_fraction(base_max, stage_max) >= 0.8, window

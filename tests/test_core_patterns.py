@@ -109,6 +109,15 @@ class TestClassification:
         assert results[-1].day == dt.date(2020, 5, 11)
 
 
+def _shift_at(series, bin_hours):
+    classifications = patterns.classify_days(
+        series, timebase.Region.CENTRAL_EUROPE, bin_hours=bin_hours
+    )
+    return patterns.summarize_shift(
+        classifications, timebase.TIMELINE_CE.lockdown
+    )
+
+
 class TestSummarizeShift:
     def test_shift_detected(self, isp_series):
         classifications = patterns.classify_days(
@@ -121,6 +130,18 @@ class TestSummarizeShift:
         assert shift.pre_lockdown_agreement > 0.8
         assert shift.post_lockdown_weekendlike_workdays > 0.8
         assert shift.post_lockdown_agreement_weekends > 0.8
+
+    # The paper's 6 h bins are the default, checked above.
+    @pytest.mark.parametrize("bin_hours", [1, 3, 12])
+    def test_shift_visible_at_other_bin_sizes(self, isp_series, bin_hours):
+        assert _shift_at(isp_series, bin_hours).shifted()
+
+    def test_six_hour_bins_agree_no_worse_than_extremes(self, isp_series):
+        agreement = {
+            bin_hours: _shift_at(isp_series, bin_hours).pre_lockdown_agreement
+            for bin_hours in (1, 6, 12)
+        }
+        assert agreement[6] >= min(agreement[1], agreement[12])
 
     def test_range_must_span_lockdown(self, isp_series):
         classifications = patterns.classify_days(

@@ -1,15 +1,12 @@
-"""Unit tests for the statistics wrappers and peering-graph analysis."""
+"""Unit tests for the statistics wrappers."""
 
 import datetime as dt
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from repro import timebase
-from repro.core import matrix, stats, topology
-from repro.core.matrix import TrafficMatrix
-from repro.netbase.asdb import HYPERGIANT_ASNS
+from repro.core import stats
 from repro.synth import linkutil as linkutil_synth
 
 
@@ -89,107 +86,3 @@ class TestSpearmanTrend:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             stats.spearman_trend([1.0, 2.0, 3.0])
-
-
-@pytest.fixture(scope="module")
-def ixp_graphs(scenario):
-    base_flows = scenario.ixp_ce.generate_week_flows(
-        timebase.MACRO_WEEKS["base"], fidelity=0.4
-    )
-    stage_flows = scenario.ixp_ce.generate_week_flows(
-        timebase.MACRO_WEEKS["stage2"], fidelity=0.4
-    )
-    base_matrix = matrix.build_matrix(base_flows)
-    stage_matrix = matrix.build_matrix(stage_flows)
-    return (
-        topology.build_peering_graph(base_matrix),
-        topology.build_peering_graph(stage_matrix),
-        base_matrix,
-    )
-
-
-class TestPeeringGraph:
-    def test_graph_built(self, ixp_graphs):
-        base_graph, _, base_matrix = ixp_graphs
-        assert base_graph.number_of_nodes() == len(base_matrix.asns)
-        assert base_graph.number_of_edges() > 0
-
-    def test_edge_weights_match_matrix(self, ixp_graphs):
-        base_graph, _, base_matrix = ixp_graphs
-        a, b, volume = base_matrix.top_pairs(1)[0]
-        assert base_graph[a][b]["weight"] == pytest.approx(volume)
-
-    def test_platform_is_one_fabric(self, ixp_graphs):
-        base_graph, _, _ = ixp_graphs
-        assert topology.largest_connected_share(base_graph) > 0.9
-
-    def test_hypergiants_are_hubs(self, ixp_graphs):
-        base_graph, _, base_matrix = ixp_graphs
-        groups = matrix.source_sink_split(base_matrix)
-        summary = topology.summarize_graph(
-            base_graph, groups["sources"], groups["sinks"]
-        )
-        hub_asns = {asn for asn, _ in summary.top_hubs[:5]}
-        assert hub_asns & HYPERGIANT_ASNS
-
-    def test_byte_flow_is_near_bipartite(self, ixp_graphs):
-        base_graph, _, base_matrix = ixp_graphs
-        groups = matrix.source_sink_split(base_matrix, threshold=0.3)
-        summary = topology.summarize_graph(
-            base_graph, groups["sources"], groups["sinks"]
-        )
-        assert summary.bipartite_byte_fraction > 0.5
-
-    def test_hub_share_concentrated(self, ixp_graphs):
-        base_graph, _, base_matrix = ixp_graphs
-        groups = matrix.source_sink_split(base_matrix)
-        summary = topology.summarize_graph(
-            base_graph, groups["sources"], groups["sinks"]
-        )
-        assert summary.hub_share > 0.3
-
-    def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            topology.summarize_graph(nx.DiGraph(), [], [])
-
-
-class TestEdgeChurn:
-    def test_private_interconnect_move_detected(self):
-        # A heavy VoD -> eyeball edge leaves the public platform.
-        asns = (2906, 230000, 15169)
-        base = TrafficMatrix(
-            asns,
-            np.array(
-                [[0.0, 1e9, 0.0], [0.0, 0.0, 0.0], [0.0, 5e8, 0.0]]
-            ),
-        )
-        stage = TrafficMatrix(
-            asns,
-            np.array(
-                [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 6e8, 0.0]]
-            ),
-        )
-        churn = topology.edge_churn(
-            topology.build_peering_graph(base),
-            topology.build_peering_graph(stage),
-        )
-        assert (2906, 230000) in churn.disappeared
-        assert churn.heaviest_lost_weight == pytest.approx(1e9)
-
-    def test_min_bytes_filters_noise(self):
-        asns = (1, 2)
-        base = TrafficMatrix(asns, np.array([[0.0, 5.0], [0.0, 0.0]]))
-        stage = TrafficMatrix(asns, np.array([[0.0, 0.0], [0.0, 0.0]]))
-        churn = topology.edge_churn(
-            topology.build_peering_graph(base),
-            topology.build_peering_graph(stage),
-            min_bytes=10.0,
-        )
-        assert churn.n_disappeared == 0
-
-    def test_scenario_churn_modest(self, ixp_graphs):
-        base_graph, stage_graph, _ = ixp_graphs
-        total = max(base_graph.number_of_edges(), 1)
-        churn = topology.edge_churn(base_graph, stage_graph, min_bytes=1e6)
-        # The platform mesh is stable week over week.
-        assert churn.n_disappeared < total * 0.5

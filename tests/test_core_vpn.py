@@ -85,6 +85,21 @@ class TestCandidateMining:
             >= strict.candidate_ips | scenario.vpn_truth.shared_gateway_ips
         )
 
+    def test_without_elimination_web_bytes_count_as_vpn(
+        self, scenario, candidates, fast_config
+    ):
+        flows = scenario.ixp_ce.generate_week_flows(
+            timebase.Week(dt.date(2020, 2, 20), "february"),
+            fast_config.flow_fidelity,
+        )
+        loose = vpn.mine_vpn_candidates(
+            scenario.dns_corpus, eliminate_www_shared=False
+        )
+        n_bytes = flows.column("n_bytes")
+        strict_bytes = n_bytes[vpn.domain_based_mask(flows, candidates)].sum()
+        loose_bytes = n_bytes[vpn.domain_based_mask(flows, loose)].sum()
+        assert loose_bytes > strict_bytes
+
 
 class TestDomainBased:
     def test_only_tcp443_to_candidates(self, candidates):

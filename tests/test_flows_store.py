@@ -11,7 +11,6 @@ import pytest
 
 import repro.obs as obs
 from repro import timebase
-from repro.core.streaming import StreamingAggregator
 from repro.flows import colstore
 from repro.flows.store import FlowStore, FlowStoreError
 from repro.flows.table import COLUMNS, FlowTable
@@ -495,18 +494,3 @@ class TestStateTokenMemo:
             lambda *a, **k: pytest.fail("token recomputed while unchanged"),
         )
         assert store.state_token() == token
-
-
-class TestStreamingIntegration:
-    def test_iter_days_feeds_streaming(self, store, three_day_flows):
-        store.write_range(
-            three_day_flows, dt.date(2020, 2, 19), dt.date(2020, 2, 21)
-        )
-        start = timebase.hour_index(dt.date(2020, 2, 19), 0)
-        aggregator = StreamingAggregator(start, start + 72)
-        for _, flows in store.iter_days():
-            aggregator.feed(flows)
-        batch = three_day_flows.hourly_bytes(start, start + 72)
-        assert np.array_equal(
-            aggregator.hourly_bytes().values, batch.astype(np.float64)
-        )

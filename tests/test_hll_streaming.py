@@ -1,12 +1,9 @@
-"""Unit tests for HyperLogLog and the streaming aggregator."""
+"""Unit tests for the HyperLogLog distinct-count sketch."""
 
 import numpy as np
 import pytest
 
-from repro import timebase
-from repro.core.streaming import StreamingAggregator
 from repro.flows.hll import HyperLogLog
-from repro.flows.table import FlowTable
 
 
 class TestHyperLogLog:
@@ -107,94 +104,3 @@ class TestHyperLogLog:
         true_count = len(np.unique(addresses))
         assert sketch.count() == pytest.approx(true_count, rel=0.05)
 
-
-class TestStreamingAggregator:
-    @pytest.fixture(scope="class")
-    def week_flows(self, scenario):
-        return scenario.isp_ce.generate_week_flows(
-            timebase.MACRO_WEEKS["base"], fidelity=0.5
-        )
-
-    @pytest.fixture(scope="class")
-    def window(self):
-        return timebase.MACRO_WEEKS["base"].hour_range()
-
-    def test_matches_batch_hourly_bytes(self, week_flows, window):
-        start, stop = window
-        aggregator = StreamingAggregator(start, stop)
-        # Feed in awkward chunks.
-        for offset in range(0, len(week_flows), 997):
-            aggregator.feed(week_flows.head(offset + 997).filter(
-                np.arange(min(offset + 997, len(week_flows))) >= offset
-            ))
-        batch = week_flows.hourly_bytes(start, stop)
-        assert np.array_equal(
-            aggregator.hourly_bytes().values, batch.astype(np.float64)
-        )
-
-    def test_port_totals_exact(self, week_flows, window):
-        start, stop = window
-        aggregator = StreamingAggregator(start, stop)
-        aggregator.feed(week_flows)
-        streaming_total = sum(aggregator.bytes_by_port().values())
-        assert streaming_total == week_flows.total_bytes()
-
-    def test_asn_totals_match_batch(self, week_flows, window):
-        start, stop = window
-        aggregator = StreamingAggregator(start, stop)
-        aggregator.feed(week_flows)
-        assert aggregator.bytes_by_asn() == week_flows.bytes_by("src_asn")
-
-    def test_distinct_ip_estimates(self, week_flows, window):
-        start, stop = window
-        aggregator = StreamingAggregator(start, stop)
-        aggregator.feed(week_flows)
-        exact = week_flows.unique_ips_per_hour(start, stop, side="dst")
-        estimated = aggregator.distinct_ips_per_hour().values
-        busy = exact > 50
-        ratio = estimated[busy] / exact[busy]
-        assert np.all((ratio > 0.9) & (ratio < 1.1))
-
-    def test_out_of_window_flows_ignored(self, week_flows, window):
-        start, stop = window
-        aggregator = StreamingAggregator(start + 24, stop - 24)
-        aggregator.feed(week_flows)
-        assert aggregator.flows_seen < len(week_flows)
-
-    def test_merge_matches_single_pass(self, week_flows, window):
-        start, stop = window
-        half = len(week_flows) // 2
-        first = StreamingAggregator(start, stop)
-        first.feed(week_flows.head(half))
-        second = StreamingAggregator(start, stop)
-        mask = np.arange(len(week_flows)) >= half
-        second.feed(week_flows.filter(mask))
-        merged = first.merge(second)
-        single = StreamingAggregator(start, stop)
-        single.feed(week_flows)
-        assert np.array_equal(
-            merged.hourly_bytes().values, single.hourly_bytes().values
-        )
-        assert merged.flows_seen == single.flows_seen
-
-    def test_merge_window_mismatch_rejected(self, window):
-        start, stop = window
-        with pytest.raises(ValueError):
-            StreamingAggregator(start, stop).merge(
-                StreamingAggregator(start, stop + 24)
-            )
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingAggregator(10, 10)
-
-    def test_invalid_ip_side_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingAggregator(0, 24, ip_side="middle")
-
-    def test_feed_stream_chains(self, week_flows, window):
-        start, stop = window
-        aggregator = StreamingAggregator(start, stop).feed_stream(
-            [week_flows.head(100), FlowTable.empty()]
-        )
-        assert aggregator.flows_seen == 100

@@ -140,22 +140,25 @@ class TestSeedRobustness:
     """The findings must not be artifacts of one RNG stream."""
 
     @pytest.fixture(scope="class")
-    def alt_scenario(self):
+    def alt_scenarios(self):
         from repro import build_scenario
 
-        return build_scenario(seed=777)
+        return {seed: build_scenario(seed=seed) for seed in (777, 1234, 987654)}
 
-    def test_fig03_holds_for_alternate_seed(self, alt_scenario, fast_config):
-        result = experiments.run_experiment("fig03", alt_scenario, fast_config)
-        assert result.passed, result.failed_checks()
+    @staticmethod
+    def _assert_holds(experiment_id, scenarios, config):
+        for seed, scenario in scenarios.items():
+            result = experiments.run_experiment(experiment_id, scenario, config)
+            assert result.passed, (seed, result.failed_checks())
 
-    def test_fig10_holds_for_alternate_seed(self, alt_scenario, fast_config):
-        result = experiments.run_experiment("fig10", alt_scenario, fast_config)
-        assert result.passed, result.failed_checks()
+    def test_fig03_holds_for_alternate_seed(self, alt_scenarios, fast_config):
+        self._assert_holds("fig03", alt_scenarios, fast_config)
 
-    def test_fig12_holds_for_alternate_seed(self, alt_scenario, fast_config):
-        result = experiments.run_experiment("fig12", alt_scenario, fast_config)
-        assert result.passed, result.failed_checks()
+    def test_fig10_holds_for_alternate_seed(self, alt_scenarios, fast_config):
+        self._assert_holds("fig10", alt_scenarios, fast_config)
+
+    def test_fig12_holds_for_alternate_seed(self, alt_scenarios, fast_config):
+        self._assert_holds("fig12", alt_scenarios, fast_config)
 
 
 class TestPaperReferenceConsistency:

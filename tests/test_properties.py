@@ -292,15 +292,3 @@ class TestCodecProperties:
             decoded.column("n_packets"),
             np.minimum(table.column("n_packets"), 2**32 - 1),
         )
-
-    @settings(max_examples=20, deadline=None)
-    @given(codec_records(), st.integers(min_value=2, max_value=64))
-    def test_sampling_never_inflates(self, table, rate):
-        from repro.flows import sampling
-
-        sampled = sampling.packet_sample(table, rate, seed=1)
-        assert len(sampled) <= len(table)
-        assert sampled.total_bytes() <= table.total_bytes()
-        assert int(sampled.column("n_packets").sum()) <= int(
-            table.column("n_packets").sum()
-        )
