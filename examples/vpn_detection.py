@@ -49,7 +49,7 @@ def main() -> None:
     print(f"  domain-based: {domain_flows.total_bytes() / 1e9:8.2f} GB\n")
 
     patterns = vpn.vpn_week_patterns(
-        flows, WEEKS, timebase.Region.CENTRAL_EUROPE, candidates
+        [flows], WEEKS, timebase.Region.CENTRAL_EUROPE, candidates
     )
     for stage in ("march", "april"):
         growth = vpn.vpn_growth(patterns, "february", stage)

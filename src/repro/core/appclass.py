@@ -10,6 +10,7 @@ in the paper (social networks also carry video telephony, etc.).
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 from dataclasses import dataclass
 from typing import (
     Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple,
@@ -41,24 +42,14 @@ class ClassFilter:
     def __post_init__(self) -> None:
         if not self.asns and not self.ports:
             raise ValueError("a filter needs AS or port criteria")
+        if any(not 0 <= port < _PORT_SLOTS for port in self.ports):
+            raise ValueError("filter ports must lie in 0-65535")
+        if any(not 0 <= proto < _PROTO_SLOTS for proto in self.protos):
+            raise ValueError("filter protocols must lie in 0-255")
 
     def mask(self, flows: FlowTable) -> np.ndarray:
         """Boolean match mask over ``flows``."""
-        # ``kind="sort"``: the default picks a lookup table spanning
-        # the value range, which for AS numbers is far slower.
-        mask = np.ones(len(flows), dtype=bool)
-        if self.asns:
-            wanted = np.asarray(sorted(self.asns), dtype=np.int64)
-            mask &= np.isin(
-                flows.column("src_asn"), wanted, kind="sort"
-            ) | np.isin(flows.column("dst_asn"), wanted, kind="sort")
-        if self.ports:
-            wanted_ports = np.asarray(sorted(self.ports), dtype=np.int64)
-            mask &= np.isin(flows.service_ports(), wanted_ports, kind="sort")
-        if self.protos:
-            wanted_protos = np.asarray(sorted(self.protos), dtype=np.int64)
-            mask &= np.isin(flows.column("proto"), wanted_protos, kind="sort")
-        return mask
+        return _membership((self,)).mask(flows)
 
 
 @dataclass(frozen=True)
@@ -74,10 +65,7 @@ class AppClass:
 
     def mask(self, flows: FlowTable) -> np.ndarray:
         """Union of the class's filter masks."""
-        mask = np.zeros(len(flows), dtype=bool)
-        for filt in self.filters:
-            mask |= filt.mask(flows)
-        return mask
+        return _membership(self.filters).mask(flows)
 
     def select(self, flows: FlowTable) -> FlowTable:
         """The sub-table of flows matching the class."""
@@ -103,6 +91,111 @@ class AppClass:
         for filt in self.filters:
             ports |= set(filt.ports)
         return frozenset(ports)
+
+
+# ---------------------------------------------------------------------------
+# Filter membership: one pass per table for a whole filter set.
+# ---------------------------------------------------------------------------
+
+#: Service ports and protocol numbers a filter may name.  A table value
+#: outside these ranges reads the lookup tables' last slot, which only
+#: filters without that criterion match.
+_PORT_SLOTS = 65536
+_PROTO_SLOTS = 256
+
+#: Filters per membership word.
+_WORD_BITS = 64
+
+
+def _slots(values: np.ndarray, limit: int) -> np.ndarray:
+    """``values`` as lookup slots: those outside ``[0, limit)`` read
+    slot ``limit``."""
+    return np.where((values >= 0) & (values < limit), values, limit)
+
+
+class _Membership:
+    """Which of an ordered filter set's filters each flow matches.
+
+    Filter ``i`` owns bit ``i % 64`` of word ``i // 64``.  Three lookup
+    tables, built once per filter set, hold per criterion value the
+    bits of the filters it satisfies (a filter without that criterion
+    is satisfied by every value): one over service ports, one over
+    protocols, and one over the sorted union of the filters' ASNs,
+    reached by ``searchsorted`` with a last slot for unlisted ASNs.  A
+    row matches a filter when its AS (either side), port and protocol
+    entries all carry the filter's bit.
+    """
+
+    def __init__(self, filters: Sequence[ClassFilter]):
+        n_words = -(-len(filters) // _WORD_BITS)
+        self.asns = np.unique(np.fromiter(
+            (asn for filt in filters for asn in filt.asns), dtype=np.int64
+        ))
+        self._asn_bits = np.zeros((n_words, len(self.asns) + 1), np.uint64)
+        self._port_bits = np.zeros((n_words, _PORT_SLOTS + 1), np.uint64)
+        self._proto_bits = np.zeros((n_words, _PROTO_SLOTS + 1), np.uint64)
+        for i, filt in enumerate(filters):
+            word, flag = self._bit(i)
+            for table, slots in (
+                (self._asn_bits,
+                 np.searchsorted(self.asns, sorted(filt.asns))),
+                (self._port_bits, sorted(filt.ports)),
+                (self._proto_bits, sorted(filt.protos)),
+            ):
+                if len(slots):
+                    table[word, slots] |= flag
+                else:
+                    table[word] |= flag
+        self.all = self.select(range(len(filters)))
+
+    @staticmethod
+    def _bit(i: int) -> Tuple[int, np.uint64]:
+        word, bit = divmod(i, _WORD_BITS)
+        return word, np.uint64(1 << bit)
+
+    def select(self, positions: Iterable[int]) -> np.ndarray:
+        """Per-word bits of the filters at ``positions``."""
+        selected = np.zeros(len(self._port_bits), np.uint64)
+        for i in positions:
+            word, flag = self._bit(i)
+            selected[word] |= flag
+        return selected
+
+    def _asn_slots(self, asns: np.ndarray) -> np.ndarray:
+        last = len(self.asns)
+        if not last:
+            return np.zeros(len(asns), dtype=np.intp)
+        pos = np.searchsorted(self.asns, asns)
+        found = self.asns[np.minimum(pos, last - 1)] == asns
+        return np.where(found, pos, last)
+
+    def bits(self, flows: FlowTable) -> np.ndarray:
+        """Per row, the bitset of filters it matches:
+        ``[n_words, len(flows)]``."""
+        bits = (
+            self._asn_bits[:, self._asn_slots(flows.column("src_asn"))]
+            | self._asn_bits[:, self._asn_slots(flows.column("dst_asn"))]
+        )
+        bits &= self._port_bits[:, _slots(flows.service_ports(), _PORT_SLOTS)]
+        bits &= self._proto_bits[
+            :, _slots(flows.column("proto"), _PROTO_SLOTS)
+        ]
+        return bits
+
+    @staticmethod
+    def matching(bits: np.ndarray, selected: np.ndarray) -> np.ndarray:
+        """Rows of ``bits`` that match any of the ``selected`` filters."""
+        return ((bits & selected[:, None]) != 0).any(axis=0)
+
+    def mask(self, flows: FlowTable) -> np.ndarray:
+        """Rows of ``flows`` that match any filter of the set."""
+        return self.matching(self.bits(flows), self.all)
+
+
+@functools.lru_cache(maxsize=16)
+def _membership(filters: Tuple[ClassFilter, ...]) -> _Membership:
+    """The memoized :class:`_Membership` of one filter sequence."""
+    return _Membership(filters)
 
 
 def _f(
@@ -335,28 +428,44 @@ class ClassVolume:
 
 
 def class_volumes(
-    flows: FlowTable,
+    tables: Sequence[FlowTable],
     weeks: Iterable[timebase.Week],
     classes: Optional[Mapping[str, AppClass]] = None,
 ) -> Dict[str, ClassVolume]:
-    """Each class's hourly bytes over the span of ``weeks``.
+    """Each class's hourly bytes in ``tables`` over the span of ``weeks``.
 
-    ``classes`` defaults to the Table 1 classes.  Every class mask is
-    built once and summed through the table's hour index
-    (:meth:`FlowTable.hourly_bytes` with ``where=``), so no per-class
-    sub-table is copied however many views are derived from it.
+    ``classes`` defaults to the Table 1 classes.  One membership pass
+    per table gives every row the bitset of the classes' filters it
+    matches; each class mask is read off those bits and summed through
+    the table's hour index (:meth:`FlowTable.hourly_bytes` with
+    ``where=``).  The tables' int64 sums are added, so several week
+    tables need not be concatenated first.
     """
     classes = classes or standard_classes()
     ranges = [week.hour_range() for week in weeks]
     start = min(lo for lo, _ in ranges)
     stop = max(hi for _, hi in ranges)
-    return {
-        name: ClassVolume(
-            start,
-            flows.hourly_bytes(start, stop, where=classes[name].mask(flows)),
+    names = sorted(classes)
+    filters = tuple(dict.fromkeys(
+        filt for name in names for filt in classes[name].filters
+    ))
+    membership = _membership(filters)
+    position = {filt: i for i, filt in enumerate(filters)}
+    selected = {
+        name: membership.select(
+            position[filt] for filt in classes[name].filters
         )
-        for name in sorted(classes)
+        for name in names
     }
+    totals = {name: np.zeros(stop - start, dtype=np.int64) for name in names}
+    for flows in tables:
+        bits = membership.bits(flows)
+        for name in names:
+            totals[name] += flows.hourly_bytes(
+                start, stop,
+                where=membership.matching(bits, selected[name]),
+            )
+    return {name: ClassVolume(start, totals[name]) for name in names}
 
 
 def _kept_hour_indices() -> Tuple[int, ...]:

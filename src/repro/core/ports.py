@@ -25,13 +25,19 @@ DEFAULT_TOP_N = 10
 
 
 def top_ports(
-    flows: FlowTable,
+    tables: Sequence[FlowTable],
     n: int = DEFAULT_TOP_N,
     omit: Sequence[str] = OMITTED_KEYS,
 ) -> List[str]:
-    """The top-``n`` transport keys by byte volume, after omissions."""
-    ranked = flows.top_transport_keys(n + len(omit))
-    keys = [key for key, _ in ranked if key not in omit]
+    """The top-``n`` transport keys by byte volume over all ``tables``,
+    after omissions (ties rank by label, as
+    :meth:`FlowTable.top_transport_keys`)."""
+    totals: Dict[str, int] = {}
+    for flows in tables:
+        for key, total in flows.bytes_by_transport_key().items():
+            totals[key] = totals.get(key, 0) + total
+    ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
+    keys = [key for key, _ in ranked[: n + len(omit)] if key not in omit]
     return keys[:n]
 
 
@@ -50,30 +56,36 @@ class PortWeekPattern:
 
 
 def _hourly_by_label(
-    flows: FlowTable,
+    tables: Sequence[FlowTable],
     keys: Sequence[str],
     weeks: Sequence[timebase.Week],
 ) -> Dict[str, List[np.ndarray]]:
     """Each key's int64 hourly bytes in each of ``weeks``.
 
-    Reads one :meth:`FlowTable.hourly_bytes_by` matrix over the weeks'
-    span; transport keys that share a label are summed, and a key with
-    no flows reads zero.
+    Adds up one :meth:`FlowTable.hourly_bytes_by` matrix per table,
+    each over the part of the weeks' span its rows fall in; transport
+    keys that share a label are summed, and a key with no flows reads
+    zero.
     """
     ranges = [week.hour_range() for week in weeks]
     lo = min(start for start, _ in ranges)
     hi = max(stop for _, stop in ranges)
-    values, matrix = flows.hourly_bytes_by("transport", lo, hi)
-    wanted = set(keys)
-    rows: Dict[str, np.ndarray] = {}
-    for value, row in zip(values, matrix):
-        label = transport_label(int(value))
-        if label in wanted:
-            rows[label] = rows[label] + row if label in rows else row
-    empty = np.zeros(hi - lo, dtype=np.int64)
+    rows = {key: np.zeros(hi - lo, dtype=np.int64) for key in keys}
+    for flows in tables:
+        hours = flows.group_index("hour").values
+        if not len(hours):
+            continue
+        start = max(lo, int(hours[0]))
+        stop = min(hi, int(hours[-1]) + 1)
+        if stop <= start:
+            continue
+        values, matrix = flows.hourly_bytes_by("transport", start, stop)
+        for value, row in zip(values, matrix):
+            label = transport_label(int(value))
+            if label in rows:
+                rows[label][start - lo : stop - lo] += row
     return {
-        key: [rows.get(key, empty)[start - lo : stop - lo]
-              for start, stop in ranges]
+        key: [rows[key][start - lo : stop - lo] for start, stop in ranges]
         for key in keys
     }
 
@@ -102,7 +114,7 @@ def _hour_of_day_profile(
 
 
 def port_patterns(
-    flows: FlowTable,
+    tables: Sequence[FlowTable],
     weeks: Mapping[str, timebase.Week],
     region: timebase.Region,
     keys: Optional[Sequence[str]] = None,
@@ -116,8 +128,8 @@ def port_patterns(
     is directly visible.
     """
     if keys is None:
-        keys = top_ports(flows, top_n)
-    hourly = _hourly_by_label(flows, keys, list(weeks.values()))
+        keys = top_ports(tables, top_n)
+    hourly = _hourly_by_label(tables, keys, list(weeks.values()))
     patterns: Dict[str, List[PortWeekPattern]] = {}
     for key in keys:
         per_week: List[PortWeekPattern] = []
@@ -153,7 +165,7 @@ class PortGrowth:
 
 
 def port_growth(
-    flows: FlowTable,
+    tables: Sequence[FlowTable],
     base_week: timebase.Week,
     later_week: timebase.Week,
     region: timebase.Region,
@@ -166,12 +178,13 @@ def port_growth(
     workdays (and the full day on weekends) between the two weeks.
     """
     if keys is None:
-        keys = top_ports(flows)
-    hourly = _hourly_by_label(flows, keys, [base_week, later_week])
+        keys = top_ports(tables)
+    hourly = _hourly_by_label(tables, keys, [base_week, later_week])
     base_start, base_stop = base_week.hour_range()
-    base_total = float(
-        flows.hourly_bytes(base_start, base_stop).sum()
-    )
+    base_total = float(sum(
+        int(flows.hourly_bytes(base_start, base_stop).sum())
+        for flows in tables
+    ))
     results: Dict[str, PortGrowth] = {}
     h0, h1 = working_hours
     for key in keys:

@@ -16,7 +16,7 @@ identification vastly undercounts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -91,13 +91,15 @@ def domain_based_mask(
     if not candidates.candidate_ips:
         return np.zeros(len(flows), dtype=bool)
     wanted = np.asarray(sorted(candidates.candidate_ips), dtype=np.uint32)
-    on_443 = (flows.service_ports() == 443) & (
-        flows.column("proto") == PROTO_TCP
+    # Only the TCP/443 rows need the address test.
+    rows = np.flatnonzero(
+        (flows.service_ports() == 443) & (flows.column("proto") == PROTO_TCP)
     )
-    to_candidate = np.isin(flows.column("src_ip"), wanted) | np.isin(
-        flows.column("dst_ip"), wanted
+    mask = np.zeros(len(flows), dtype=bool)
+    mask[rows] = np.isin(flows.column("src_ip")[rows], wanted) | np.isin(
+        flows.column("dst_ip")[rows], wanted
     )
-    return on_443 & to_candidate
+    return mask
 
 
 @dataclass(frozen=True)
@@ -113,16 +115,15 @@ class VPNWeekPattern:
 
 
 def _mean_profiles(
-    flows: FlowTable,
+    hourly: np.ndarray,
     week: timebase.Week,
     region: timebase.Region,
-    where: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Mean hourly bytes of the ``where`` rows on the week's workdays
-    and weekend days."""
-    start, stop = week.hour_range()
-    hourly = flows.hourly_bytes(start, stop, where=where).astype(np.float64)
-    days = hourly.reshape(7, 24)
+    """Mean hourly bytes on the week's workdays and weekend days.
+
+    ``hourly`` holds the week's 168 hourly byte counts.
+    """
+    days = hourly.astype(np.float64).reshape(7, 24)
     workdays, weekends = [], []
     for i, day in enumerate(week.days()):
         if timebase.behaves_like_weekend(day, region):
@@ -135,23 +136,36 @@ def _mean_profiles(
 
 
 def vpn_week_patterns(
-    flows: FlowTable,
+    tables: Sequence[FlowTable],
     weeks: Mapping[str, timebase.Week],
     region: timebase.Region,
     candidates: VPNCandidates,
 ) -> Dict[str, VPNWeekPattern]:
-    """Fig 10: per-week hourly VPN traffic, both methods.
+    """Fig 10: per-week hourly VPN traffic in ``tables``, both methods.
 
+    Each table's port- and domain-based rows are summed over the weeks'
+    span through its hour index, and the tables' int64 sums are added.
     All series are normalized by the joint maximum, preserving relative
     levels between methods and weeks.
     """
-    port_mask = port_based_mask(flows)
-    domain_mask = domain_based_mask(flows, candidates)
+    ranges = [week.hour_range() for week in weeks.values()]
+    lo = min(start for start, _ in ranges)
+    hi = max(stop for _, stop in ranges)
+    port_hours = np.zeros(hi - lo, dtype=np.int64)
+    domain_hours = np.zeros(hi - lo, dtype=np.int64)
+    for flows in tables:
+        port_hours += flows.hourly_bytes(
+            lo, hi, where=port_based_mask(flows)
+        )
+        domain_hours += flows.hourly_bytes(
+            lo, hi, where=domain_based_mask(flows, candidates)
+        )
     raw: Dict[str, Tuple[np.ndarray, ...]] = {}
     peak = 0.0
-    for label, week in weeks.items():
-        p_wd, p_we = _mean_profiles(flows, week, region, where=port_mask)
-        d_wd, d_we = _mean_profiles(flows, week, region, where=domain_mask)
+    for (label, week), (start, stop) in zip(weeks.items(), ranges):
+        window = slice(start - lo, stop - lo)
+        p_wd, p_we = _mean_profiles(port_hours[window], week, region)
+        d_wd, d_we = _mean_profiles(domain_hours[window], week, region)
         raw[label] = (p_wd, p_we, d_wd, d_we)
         peak = max(
             peak, p_wd.max(), p_we.max(), d_wd.max(), d_we.max()

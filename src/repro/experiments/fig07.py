@@ -8,7 +8,6 @@ from typing import List, Optional, Tuple
 from repro import timebase
 from repro.core import ports
 from repro.experiments.base import ExperimentResult, PipelineConfig, register
-from repro.flows.table import FlowTable
 from repro.report import figures as figrender
 from repro.synth import datasets
 from repro.synth.datasets import DatasetRequest
@@ -53,17 +52,14 @@ def run_fig07(scenario: Scenario,
     all_patterns = {}
     for name, weeks in WEEKS.items():
         vantage = scenario.vantage(name)
-        flows = FlowTable.concat(
-            datasets.fetch_many(scenario, _week_requests(config, name))
-        )
+        tables = datasets.fetch_many(scenario, _week_requests(config, name))
         region = vantage.region
+        top = ports.top_ports(tables)
         growth = ports.port_growth(
-            flows, weeks["february"], weeks["april"], region,
-            keys=None,
+            tables, weeks["february"], weeks["april"], region, keys=top,
         )
-        pattern = ports.port_patterns(flows, weeks, region)
+        pattern = ports.port_patterns(tables, weeks, region, keys=top)
         all_patterns[name] = (pattern, growth)
-        top = ports.top_ports(flows)
         result.metrics[f"{name}/n-top-ports"] = float(len(top))
         quic = growth.get("UDP/443", _ABSENT)
         result.metrics[f"{name}/quic-growth"] = quic.workday_growth

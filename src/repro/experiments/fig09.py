@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import timebase
 from repro.core import appclass
@@ -33,16 +33,15 @@ def _datasets(scenario: Scenario,
     )
 
 
-def _week_flows(scenario: Scenario, config: PipelineConfig,
-                name: str) -> FlowTable:
-    tables = datasets.fetch_many(
+def _week_tables(scenario: Scenario, config: PipelineConfig,
+                 name: str) -> List[FlowTable]:
+    return datasets.fetch_many(
         scenario,
         [
             datasets.week_flows_request(name, week, config.flow_fidelity)
             for week in WEEKS[name].values()
         ],
     )
-    return FlowTable.concat(tables)
 
 
 @register("fig09", "Application-class heatmaps", "Fig. 9",
@@ -62,7 +61,7 @@ def run_fig09(scenario: Scenario,
     for name, weeks in WEEKS.items():
         vantage = scenario.vantage(name)
         volumes = appclass.class_volumes(
-            _week_flows(scenario, config, name), weeks.values(), classes
+            _week_tables(scenario, config, name), weeks.values(), classes
         )
         heatmaps[name] = appclass.class_heatmaps(volumes, weeks)
         business[name] = {}

@@ -8,7 +8,6 @@ from typing import Optional, Tuple
 from repro import timebase
 from repro.core import vpn
 from repro.experiments.base import ExperimentResult, PipelineConfig, register
-from repro.flows.table import FlowTable
 from repro.report import figures as figrender
 from repro.synth import datasets
 from repro.synth.datasets import DatasetRequest
@@ -37,10 +36,13 @@ def run_fig10(scenario: Scenario,
     """Fig 10: port- vs. domain-based VPN identification at the IXP-CE."""
     config = config or PipelineConfig()
     result = ExperimentResult("fig10", "VPN traffic shift")
-    flows = FlowTable.concat(
-        datasets.fetch_many(scenario, _datasets(scenario, config))
+    tables = datasets.fetch_many(scenario, _datasets(scenario, config))
+    # Scenario-derived, so mined once per scenario and shared by every
+    # pass on the same dataset cache.
+    candidates = datasets.memo(
+        scenario, "vpn-candidates",
+        lambda: vpn.mine_vpn_candidates(scenario.dns_corpus),
     )
-    candidates = vpn.mine_vpn_candidates(scenario.dns_corpus)
     result.metrics["candidate-ips"] = float(candidates.n_candidates)
     result.metrics["eliminated-shared"] = float(
         len(candidates.eliminated_shared)
@@ -49,7 +51,7 @@ def run_fig10(scenario: Scenario,
         len(candidates.eliminated_shared) > 0
     )
     patterns_by_week = vpn.vpn_week_patterns(
-        flows, VPN_WEEKS, timebase.Region.CENTRAL_EUROPE, candidates
+        tables, VPN_WEEKS, timebase.Region.CENTRAL_EUROPE, candidates
     )
     growth_march = vpn.vpn_growth(patterns_by_week, "february", "march")
     growth_april = vpn.vpn_growth(patterns_by_week, "february", "april")

@@ -30,7 +30,9 @@ weeks) skips flow generation entirely.  Disk writes are atomic
 truncated, or version-mismatched archive counts as a disk miss and is
 regenerated and rewritten in place.
 
-The cache holds datasets only.  The query engine's parity with the
+Besides datasets, the memory tier keeps scenario-derived memos
+(:meth:`DatasetCache.memo`; Fig 10's VPN candidates), never
+flow-derived analysis output.  The query engine's parity with the
 batch analyses of Figs 7/8 is a tier-1 test
 (``tests/test_figures_pass.py``), not a figures-pass check.
 
@@ -52,7 +54,9 @@ import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, Optional, Tuple, TypeVar, Union,
+)
 
 import numpy as np
 
@@ -71,6 +75,8 @@ KINDS = ("flows", "remote-work", "link-util")
 DISK_FORMAT = 2
 
 PathLike = Union[str, Path]
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -372,6 +378,7 @@ class DatasetCache:
         self.enabled = enabled
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._entries: Dict[tuple, object] = {}
+        self._memos: Dict[Tuple[str, str], object] = {}
         self._lock = threading.Lock()
         self._key_locks: Dict[tuple, threading.Lock] = {}
         self.stats = CacheStats()
@@ -455,7 +462,8 @@ class DatasetCache:
     def fetch(self, scenario, request: DatasetRequest):
         """The data for ``request``, materializing on first use."""
         if not self.enabled:
-            self.stats.bypasses += 1
+            with self._lock:
+                self.stats.bypasses += 1
             obs.get_registry().counter("dataset-cache.bypasses").inc()
             return _materialize(scenario, request)
         key = self._key(scenario, request)
@@ -523,9 +531,29 @@ class DatasetCache:
         """Fetch several requests in order."""
         return [self.fetch(scenario, request) for request in requests]
 
-    def clear(self) -> None:
-        """Drop every entry (stats are kept)."""
+    def memo(self, scenario, name: str, build: Callable[[], T]) -> T:
+        """``build()``, computed once per scenario fingerprint and ``name``.
+
+        For immutable values derived from the scenario alone (Fig 10's
+        VPN candidates, mined from the domain corpus), never from flows
+        or analysis results.  Memory tier only: the disk tier stores no
+        memo, a fresh cache builds again, and a pass-through cache
+        (``enabled=False``) builds on every call.
+        """
+        if not self.enabled:
+            return build()
+        key = (_scenario_fingerprint(scenario), name)
         with self._lock:
+            if key in self._memos:
+                return self._memos[key]
+        value = build()
+        with self._lock:
+            return self._memos.setdefault(key, value)
+
+    def clear(self) -> None:
+        """Drop every entry and memo (stats are kept)."""
+        with self._lock:
+            self._memos.clear()
             self._entries.clear()
             self._key_locks.clear()
             self.stats.entries = 0
@@ -566,3 +594,7 @@ def fetch_many(scenario, requests: Iterable[DatasetRequest]) -> list:
     """Fetch several requests in order through the active cache."""
     return _ACTIVE_CACHE.fetch_many(scenario, requests)
 
+
+def memo(scenario, name: str, build: Callable[[], T]) -> T:
+    """:meth:`DatasetCache.memo` on the active cache."""
+    return _ACTIVE_CACHE.memo(scenario, name, build)

@@ -11,6 +11,7 @@ from repro import timebase
 from repro.core import appclass
 from repro.flows.record import PROTO_TCP, PROTO_UDP, FlowRecord
 from repro.flows.table import FlowTable
+from tests import appclass_reference as reference
 
 
 def flow(src_asn=1, dst_asn=2, proto=PROTO_TCP, service_port=443,
@@ -160,7 +161,7 @@ class TestHeatmaps:
             ]
         )
         return appclass.class_heatmaps(
-            appclass.class_volumes(flows, weeks.values()), weeks
+            appclass.class_volumes([flows], weeks.values()), weeks
         )
 
     def test_every_class_has_heatmap(self, heatmaps):
@@ -195,7 +196,7 @@ class TestHeatmaps:
         with pytest.raises(ValueError):
             appclass.class_heatmaps(
                 appclass.class_volumes(
-                    flows, [timebase.APPCLASS_WEEKS_IXP["base"]]
+                    [flows], [timebase.APPCLASS_WEEKS_IXP["base"]]
                 ),
                 {"stage1": timebase.APPCLASS_WEEKS_IXP["stage1"]},
             )
@@ -217,7 +218,7 @@ class TestMorningHourRemoval:
             ]
         )
         classes = {"webconf": appclass.standard_classes()["webconf"]}
-        return appclass.class_volumes(flows, weeks.values(), classes)[
+        return appclass.class_volumes([flows], weeks.values(), classes)[
             "webconf"
         ]
 
@@ -244,7 +245,7 @@ class TestMorningHourRemoval:
 class TestGrowthHelpers:
     def test_weekly_growth_requires_base_traffic(self):
         weeks = timebase.APPCLASS_WEEKS_IXP
-        empty = appclass.class_volumes(FlowTable.empty(), weeks.values())
+        empty = appclass.class_volumes([FlowTable.empty()], weeks.values())
         with pytest.raises(ValueError):
             appclass.weekly_class_growth(
                 empty["webconf"], weeks["base"], weeks["stage1"],
@@ -258,7 +259,7 @@ class TestGrowthHelpers:
                 for week in weeks.values()
             ]
         )
-        volume = appclass.class_volumes(flows, weeks.values())["webconf"]
+        volume = appclass.class_volumes([flows], weeks.values())["webconf"]
         growth = appclass.business_hours_growth(
             volume, weeks["base"], weeks["stage2"],
             timebase.Region.CENTRAL_EUROPE,
@@ -349,3 +350,171 @@ class TestBusinessHoursGrowthMatchesLoop:
         ) == -1.0
         with pytest.raises(ValueError, match="base week"):
             appclass.business_hours_growth(volume, new_year, later, region)
+
+
+# -- membership against the plain-numpy reference ----------------------------
+
+_EDGE_WEEKS = {
+    "base": timebase.Week(dt.date(2020, 2, 19), "base"),
+    "stage": timebase.Week(dt.date(2020, 3, 25), "stage"),
+}
+
+#: (src_asn, dst_asn, proto, src_port, dst_port) per edge-table row.
+_EDGE_ROWS = (
+    (2906, 1, PROTO_TCP, 55000, 443),
+    (1, 2906, PROTO_UDP, 51000, 3480),  # AS only on the destination
+    (8075, 1, PROTO_UDP, 52000, 3480),
+    (8075, 1, PROTO_TCP, 22, 50000),
+    (3, 4, 47, 1234, 5678),  # GRE: service port 0
+    (4, 3, 50, 0, 0),  # ESP
+    (5, 6, PROTO_TCP, 60000, 0),  # TCP to port 0
+    (5, 6, PROTO_TCP, 60000, 70000),  # service port above 65535
+    (5, 6, PROTO_TCP, 50000, -3),  # negative service port
+    (5, 6, 300, 55000, 443),  # protocol above 255
+    (5, 6, -1, 55000, 443),  # negative protocol
+    (2**40, 6, PROTO_TCP, 55000, 443),  # ASN beyond 32 bits
+)
+
+_EDGE_FILTERS = (
+    appclass.ClassFilter(ports=frozenset({22, 443})),
+    appclass.ClassFilter(asns=frozenset({2906})),
+    appclass.ClassFilter(asns=frozenset({8075}), ports=frozenset({3480})),
+    appclass.ClassFilter(
+        ports=frozenset({443}), protos=frozenset({PROTO_UDP})
+    ),
+    appclass.ClassFilter(ports=frozenset({0}), protos=frozenset({47})),
+    appclass.ClassFilter(ports=frozenset({0})),
+    appclass.ClassFilter(asns=frozenset({99999})),  # absent from the table
+    appclass.ClassFilter(asns=frozenset({2**40})),
+    appclass.ClassFilter(
+        asns=frozenset({5}), protos=frozenset({PROTO_TCP, PROTO_UDP})
+    ),
+)
+
+
+def _edge_table(repeat=1):
+    rows = np.array(_EDGE_ROWS * repeat, dtype=np.int64)
+    start, _ = _EDGE_WEEKS["base"].hour_range()
+    n = len(rows)
+    return FlowTable.from_arrays(
+        hour=start + np.arange(n) % 400,
+        src_ip=np.arange(n), dst_ip=np.arange(n),
+        src_asn=rows[:, 0], dst_asn=rows[:, 1], proto=rows[:, 2],
+        src_port=rows[:, 3], dst_port=rows[:, 4],
+        n_bytes=np.arange(1, n + 1) * 1000, n_packets=np.ones(n),
+    )
+
+
+#: ASNs of the random tables; the last one is in no random filter.
+_ASN_POOL = [1, 2, 3, 7, 11, 2906, 8075, 2**40, 12]
+
+
+def _random_filters(rng, n):
+    """``n`` distinct filters over small ASN, port and protocol pools."""
+    filters = {}
+    while len(filters) < n:
+        asns = rng.choice(_ASN_POOL[:-1], rng.integers(0, 3))
+        ports = rng.choice([0, 22, 80, 443, 3480, 65535], rng.integers(0, 3))
+        protos = rng.choice([PROTO_TCP, PROTO_UDP, 47, 50], rng.integers(0, 2))
+        if not len(asns) and not len(ports):
+            continue
+        filt = appclass.ClassFilter(
+            asns=frozenset(int(a) for a in asns),
+            ports=frozenset(int(p) for p in ports),
+            protos=frozenset(int(p) for p in protos),
+        )
+        filters[filt] = None
+    return list(filters)
+
+
+def _random_table(rng, n):
+    start, _ = _EDGE_WEEKS["base"].hour_range()
+    _, stop = _EDGE_WEEKS["stage"].hour_range()
+    pick = lambda values: rng.choice(values, n)  # noqa: E731
+    return FlowTable.from_arrays(
+        hour=rng.integers(start - 5, stop + 5, n),
+        src_ip=rng.integers(0, 2**32, n), dst_ip=rng.integers(0, 2**32, n),
+        src_asn=pick(_ASN_POOL), dst_asn=pick(_ASN_POOL),
+        proto=pick([PROTO_TCP, PROTO_UDP, 47, 50, 1, 300]),
+        src_port=pick([22, 443, 3480, 50000, 60000, 70000]),
+        dst_port=pick([0, 22, 80, 443, 3480, 55000, 65535, 70000]),
+        n_bytes=rng.integers(0, 2**40, n), n_packets=np.ones(n),
+    )
+
+
+class TestMembershipMatchesReference:
+    """``ClassFilter.mask``, ``AppClass.mask`` and ``class_volumes``
+    against per-filter ``np.isin`` (:mod:`tests.appclass_reference`)."""
+
+    @pytest.mark.parametrize("index", range(len(_EDGE_FILTERS)))
+    def test_each_edge_filter(self, index):
+        filt = _EDGE_FILTERS[index]
+        table = _edge_table()
+        assert filt.mask(table).tolist() == (
+            reference.filter_mask(filt, table).tolist()
+        )
+
+    def test_edge_expectations(self):
+        # Spot checks that the reference reads the rows as intended.
+        table = _edge_table()
+        dst_only, port_zero = _EDGE_FILTERS[1], _EDGE_FILTERS[5]
+        assert dst_only.mask(table)[:2].tolist() == [True, True]
+        # GRE, ESP and TCP to port 0 all have service port 0.
+        assert np.flatnonzero(port_zero.mask(table)).tolist() == [4, 5, 6]
+        assert not _EDGE_FILTERS[6].mask(table).any()
+
+    def test_edge_class_and_volumes(self):
+        classes = {
+            "all": appclass.AppClass("all", _EDGE_FILTERS),
+            "ports": appclass.AppClass("ports", _EDGE_FILTERS[3:6]),
+            "absent": appclass.AppClass("absent", _EDGE_FILTERS[6:7]),
+        }
+        tables = [_edge_table(3), FlowTable.empty(), _edge_table(2)]
+        for app_class in classes.values():
+            for table in tables:
+                assert np.array_equal(
+                    app_class.mask(table),
+                    reference.class_mask(app_class, table),
+                )
+        got = appclass.class_volumes(tables, _EDGE_WEEKS.values(), classes)
+        want = reference.class_volumes(tables, _EDGE_WEEKS.values(), classes)
+        assert sorted(got) == sorted(want)
+        for name, volume in got.items():
+            assert volume.values.dtype == np.int64
+            assert np.array_equal(volume.values, want[name]), name
+        assert want["all"].any() and not want["absent"].any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_more_than_64_filters(self, seed):
+        rng = np.random.default_rng(seed)
+        filters = _random_filters(rng, 150)
+        classes = {
+            "wide": appclass.AppClass("wide", tuple(filters)),
+            "head": appclass.AppClass("head", tuple(filters[:70])),
+            "tail": appclass.AppClass("tail", tuple(filters[60:])),
+            "last": appclass.AppClass("last", (filters[-1],)),
+        }
+        tables = [_random_table(rng, 600) for _ in range(3)]
+        for filt in filters[::10]:
+            assert np.array_equal(
+                filt.mask(tables[0]), reference.filter_mask(filt, tables[0])
+            )
+        for app_class in classes.values():
+            assert np.array_equal(
+                app_class.mask(tables[0]),
+                reference.class_mask(app_class, tables[0]),
+            )
+        got = appclass.class_volumes(tables, _EDGE_WEEKS.values(), classes)
+        want = reference.class_volumes(tables, _EDGE_WEEKS.values(), classes)
+        for name, volume in got.items():
+            assert np.array_equal(volume.values, want[name]), name
+
+    def test_filter_values_outside_port_and_protocol_ranges_rejected(self):
+        with pytest.raises(ValueError):
+            appclass.ClassFilter(ports=frozenset({65536}))
+        with pytest.raises(ValueError):
+            appclass.ClassFilter(ports=frozenset({-1}))
+        with pytest.raises(ValueError):
+            appclass.ClassFilter(
+                ports=frozenset({80}), protos=frozenset({256})
+            )

@@ -11,35 +11,61 @@ from repro.flows.table import FlowTable
 
 
 @pytest.fixture(scope="module")
-def isp_port_flows(scenario):
-    tables = [
+def isp_week_tables(scenario):
+    return [
         scenario.isp_ce.generate_week_flows(week, fidelity=0.5)
         for week in timebase.PORT_WEEKS_ISP.values()
     ]
-    return FlowTable.concat(tables)
+
+
+@pytest.fixture(scope="module")
+def isp_port_flows(isp_week_tables):
+    return FlowTable.concat(isp_week_tables)
+
+
+def test_week_tables_answer_as_their_concatenation(
+    isp_week_tables, isp_port_flows
+):
+    """Per-table sums added up equal sums over the concatenated table."""
+    weeks = timebase.PORT_WEEKS_ISP
+    region = timebase.Region.CENTRAL_EUROPE
+    split, joined = isp_week_tables, [isp_port_flows]
+    assert ports.top_ports(split, n=15) == ports.top_ports(joined, n=15)
+    got = ports.port_patterns(split, weeks, region)
+    want = ports.port_patterns(joined, weeks, region)
+    assert list(got) == list(want)
+    for key, patterns in want.items():
+        for have, expected in zip(got[key], patterns):
+            assert have.week_label == expected.week_label
+            assert np.array_equal(have.workday, expected.workday)
+            assert np.array_equal(have.weekend, expected.weekend)
+    growth = (weeks["february"], weeks["april"], region)
+    assert ports.port_growth(split, *growth) == ports.port_growth(
+        joined, *growth
+    )
 
 
 class TestTopPorts:
     def test_web_ports_omitted(self, isp_port_flows):
-        top = ports.top_ports(isp_port_flows)
+        top = ports.top_ports([isp_port_flows])
         assert "TCP/443" not in top
         assert "TCP/80" not in top
 
     def test_quic_is_top_non_web_port(self, isp_port_flows):
-        top = ports.top_ports(isp_port_flows)
+        top = ports.top_ports([isp_port_flows])
         assert top[0] == "UDP/443"
 
     def test_requested_count(self, isp_port_flows):
-        assert len(ports.top_ports(isp_port_flows, n=5)) == 5
+        assert len(ports.top_ports([isp_port_flows], n=5)) == 5
 
     def test_fig7_ports_present(self, isp_port_flows):
-        top = set(ports.top_ports(isp_port_flows, n=12))
+        top = set(ports.top_ports([isp_port_flows], n=12))
         # The ISP panel's notable ports.
         assert "UDP/443" in top
         assert "TCP/8080" in top
 
     def test_no_omissions_keeps_web(self, isp_port_flows):
-        top = ports.top_ports(isp_port_flows, n=3, omit=())
+        top = ports.top_ports([isp_port_flows], n=3, omit=())
         assert top[0] == "TCP/443"
 
 
@@ -47,7 +73,7 @@ class TestPortPatterns:
     @pytest.fixture(scope="class")
     def patterns(self, isp_port_flows):
         return ports.port_patterns(
-            isp_port_flows, timebase.PORT_WEEKS_ISP,
+            [isp_port_flows], timebase.PORT_WEEKS_ISP,
             timebase.Region.CENTRAL_EUROPE,
         )
 
@@ -71,7 +97,7 @@ class TestPortPatterns:
 
     def test_explicit_keys_respected(self, isp_port_flows):
         patterns = ports.port_patterns(
-            isp_port_flows, timebase.PORT_WEEKS_ISP,
+            [isp_port_flows], timebase.PORT_WEEKS_ISP,
             timebase.Region.CENTRAL_EUROPE, keys=["UDP/443"],
         )
         assert set(patterns) == {"UDP/443"}
@@ -81,7 +107,7 @@ class TestPortGrowth:
     @pytest.fixture(scope="class")
     def growth(self, isp_port_flows):
         return ports.port_growth(
-            isp_port_flows,
+            [isp_port_flows],
             timebase.PORT_WEEKS_ISP["february"],
             timebase.PORT_WEEKS_ISP["april"],
             timebase.Region.CENTRAL_EUROPE,

@@ -161,18 +161,20 @@ class TestWeekPatterns:
         }
 
     @pytest.fixture(scope="class")
-    def week_flows(self, scenario, weeks):
-        return FlowTable.concat(
-            [
-                scenario.ixp_ce.generate_week_flows(week, fidelity=0.6)
-                for week in weeks.values()
-            ]
-        )
+    def week_tables(self, scenario, weeks):
+        return [
+            scenario.ixp_ce.generate_week_flows(week, fidelity=0.6)
+            for week in weeks.values()
+        ]
+
+    @pytest.fixture(scope="class")
+    def week_flows(self, week_tables):
+        return FlowTable.concat(week_tables)
 
     @pytest.fixture(scope="class")
     def patterns(self, week_flows, weeks, candidates):
         return vpn.vpn_week_patterns(
-            week_flows, weeks, timebase.Region.CENTRAL_EUROPE, candidates
+            [week_flows], weeks, timebase.Region.CENTRAL_EUROPE, candidates
         )
 
     def test_matches_filter_reference(self, patterns, week_flows, weeks,
@@ -190,10 +192,25 @@ class TestWeekPatterns:
                 assert have.dtype == want.dtype
                 assert np.array_equal(have, want), label
 
+    def test_week_tables_answer_as_their_concatenation(
+        self, patterns, week_tables, weeks, candidates
+    ):
+        split = vpn.vpn_week_patterns(
+            week_tables, weeks, timebase.Region.CENTRAL_EUROPE, candidates
+        )
+        assert list(split) == list(patterns)
+        for label, got in split.items():
+            want = patterns[label]
+            for field in ("port_workday", "port_weekend",
+                          "domain_workday", "domain_weekend"):
+                assert np.array_equal(
+                    getattr(got, field), getattr(want, field)
+                ), (label, field)
+
     def test_empty_table_matches_filter_reference(self, weeks, candidates):
         region = timebase.Region.CENTRAL_EUROPE
         patterns = vpn.vpn_week_patterns(
-            FlowTable.empty(), weeks, region, candidates
+            [FlowTable.empty()], weeks, region, candidates
         )
         expected = _filter_week_patterns(
             FlowTable.empty(), weeks, region, candidates

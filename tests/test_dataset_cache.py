@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import threading
 
 import numpy as np
 import pytest
@@ -89,6 +90,28 @@ class TestCacheBehavior:
             "entries": 0, "resident_bytes": 0,
         }
 
+    def test_concurrent_bypasses_all_count(self, monkeypatch, request_base):
+        monkeypatch.setattr(
+            datasets, "_materialize", lambda scenario, request: None
+        )
+        cache = DatasetCache(enabled=False)
+        n_threads, per_thread = 8, 500
+        barrier = threading.Barrier(n_threads)
+
+        def fetch_many():
+            barrier.wait()
+            for _ in range(per_thread):
+                cache.fetch(None, request_base)
+
+        threads = [
+            threading.Thread(target=fetch_many) for _ in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert cache.stats.bypasses == n_threads * per_thread
+
     def test_clear_drops_entries(self, scenario, request_base):
         cache = DatasetCache()
         cache.fetch(scenario, request_base)
@@ -124,6 +147,58 @@ class TestCacheBehavior:
         assert set(a) == set(b)
         for member in a:
             np.testing.assert_array_equal(a[member], b[member])
+
+
+class _World:
+    """Stands in for a scenario: the memo reads only the fingerprint."""
+
+    def __init__(self, fingerprint):
+        self.fingerprint = fingerprint
+
+
+class TestMemo:
+    @staticmethod
+    def _counting_build(calls):
+        def build():
+            calls.append(None)
+            return object()
+        return build
+
+    def test_built_once_per_fingerprint_and_name(self):
+        cache, calls = DatasetCache(), []
+        build = self._counting_build(calls)
+        first = cache.memo(_World("a"), "x", build)
+        assert cache.memo(_World("a"), "x", build) is first
+        assert cache.memo(_World("b"), "x", build) is not first
+        assert cache.memo(_World("a"), "y", build) is not first
+        assert len(calls) == 3
+        assert cache.stats.to_dict() == DatasetCache().stats.to_dict()
+
+    def test_fresh_cleared_and_disabled_caches_build_again(self):
+        calls = []
+        build = self._counting_build(calls)
+        world = _World("a")
+        cache = DatasetCache()
+        cache.memo(world, "x", build)
+        DatasetCache().memo(world, "x", build)
+        cache.clear()
+        cache.memo(world, "x", build)
+        disabled = DatasetCache(enabled=False)
+        disabled.memo(world, "x", build)
+        disabled.memo(world, "x", build)
+        assert len(calls) == 5
+
+    def test_disk_tier_stores_no_memo(self, tmp_path):
+        cache = DatasetCache(cache_dir=tmp_path / "cache")
+        cache.memo(_World("a"), "x", lambda: 1)
+        assert not (tmp_path / "cache").exists()
+        assert cache.stats.disk_writes == 0
+
+    def test_module_function_uses_the_active_cache(self):
+        cache = DatasetCache()
+        with datasets.use_cache(cache):
+            value = datasets.memo(_World("a"), "x", object)
+        assert cache.memo(_World("a"), "x", object) is value
 
 
 class TestDiskTier:

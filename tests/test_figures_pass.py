@@ -25,9 +25,10 @@ import numpy as np
 import pytest
 
 from repro import build_scenario, timebase
-from repro.core import appclass, ports
+import repro.obs as obs
+from repro.core import appclass, ports, vpn
 from repro.experiments import PipelineConfig, get_spec, run_all
-from repro.experiments import fig08
+from repro.experiments import fig08, fig09
 from repro.experiments.fig07 import run_fig07
 from repro.flows.record import PROTO_ESP, PROTO_GRE, PROTO_ICMP
 from repro.flows.store import FlowStore
@@ -35,6 +36,7 @@ from repro.flows.table import FlowTable, transport_label
 from repro.query import QueryService, QuerySpec
 from repro.synth import datasets
 from repro.synth.datasets import DatasetCache
+from tests import appclass_reference as reference
 
 #: Paper checks the default world records at fast fidelity.
 DEFAULT_SEED_CHECKS = 111
@@ -275,6 +277,76 @@ def test_breakdown_figures_build_no_sub_tables(cold_pass):
         _assert_same(got.metrics, want.metrics, f"{path}.metrics")
         assert got.rendered == want.rendered, path
         _assert_same(got.data, want.data, f"{path}.data")
+
+
+#: Figures that compare analysis weeks straight from the cached tables.
+_WEEK_TABLE_FIGURES = ["fig07", "fig09", "fig10"]
+
+
+def test_warm_week_figures_concatenate_nothing_and_build_no_index(
+    cold_pass, monkeypatch
+):
+    """Figs. 7, 9 and 10 aggregate each cached week table in place: a
+    second pass on one cache adds no ``FlowTable.concat`` and no group
+    index, and mines no VPN candidates."""
+    scenario, config, cache, *_ = cold_pass
+    mined = Counter()
+    mine = vpn.mine_vpn_candidates
+
+    def counting_mine(*args, **kwargs):
+        mined["calls"] += 1
+        return mine(*args, **kwargs)
+
+    monkeypatch.setattr(vpn, "mine_vpn_candidates", counting_mine)
+    obs.configure(telemetry=True)
+    try:
+        with datasets.use_cache(cache):
+            first = run_all(
+                scenario, config, experiment_ids=_WEEK_TABLE_FIGURES
+            )
+            before = obs.get_registry().snapshot()["counters"]
+            second = run_all(
+                scenario, config, experiment_ids=_WEEK_TABLE_FIGURES
+            )
+            after = obs.get_registry().snapshot()["counters"]
+    finally:
+        obs.reset()
+    assert all(result.passed for result in first + second)
+    for name in ("table.concats", "groupby.index-builds"):
+        assert after.get(name, 0) == before.get(name, 0), (name, after)
+    # Telemetry was on, and the second pass read the cached indexes.
+    assert after["groupby.index-reuses"] > before["groupby.index-reuses"]
+    assert mined == Counter()
+
+
+def test_fig09_membership_matches_reference(cold_pass):
+    """Every Table 1 filter and class, and ``class_volumes``, on the
+    cached Fig. 9 week tables against per-filter ``np.isin``."""
+    requests, tables = _cached_requests(cold_pass, "fig09")
+    classes = appclass.standard_classes()
+    filters = {filt for cls in classes.values() for filt in cls.filters}
+    for vantage, weeks in fig09.WEEKS.items():
+        week_tables = [
+            table for request, table in zip(requests, tables)
+            if request.vantage == vantage
+        ]
+        assert len(week_tables) == len(weeks)
+        for table in week_tables:
+            for filt in filters:
+                assert np.array_equal(
+                    filt.mask(table), reference.filter_mask(filt, table)
+                ), (vantage, filt)
+            for name, app_class in classes.items():
+                assert np.array_equal(
+                    app_class.mask(table),
+                    reference.class_mask(app_class, table),
+                ), (vantage, name)
+        got = appclass.class_volumes(week_tables, weeks.values(), classes)
+        want = reference.class_volumes(week_tables, weeks.values(), classes)
+        assert sorted(got) == sorted(want)
+        for name, volume in got.items():
+            assert np.array_equal(volume.values, want[name]), (vantage, name)
+            assert want[name].any(), (vantage, name)
 
 
 # -- query-engine parity on the Fig. 7/8 datasets ---------------------------
